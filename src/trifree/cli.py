@@ -4,7 +4,9 @@ Every subcommand emits one JSON report with sorted keys; timings are opt-in
 (--timings) so identical invocations produce byte-identical output.  Exit
 codes: 0 success / property holds, 1 property fails or a counterexample was
 found (the report still carries the details), 2 usage errors, 3 malformed
-input or violated preconditions.
+input, violated preconditions, or an input too large for a recursive search
+(one that reaches Python's recursion limit, such as ``check --d`` on a long
+path).
 """
 
 from __future__ import annotations
@@ -259,8 +261,7 @@ def _row_payload(row) -> dict:
 def _cmd_census(args) -> int:
     started = time.perf_counter()
     try:
-        rows = census(args.n, strict=args.assert_, allow_large=args.allow_large,
-                      jobs=args.jobs)
+        rows = census(args.n, strict=args.assert_, allow_large=args.allow_large)
     except CensusError as exc:
         _emit(args, "census", {
             "n": args.n,
@@ -407,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail (exit 1) on any classification-invariant violation")
     p.add_argument("--allow-large", action="store_true",
                    help="lift the order guard (slow)")
-    p.add_argument("--jobs", type=int, default=1)
     _add_io(p, graph_input=False)
     p.set_defaults(handler=_cmd_census)
 
@@ -445,6 +445,11 @@ def main(argv=None) -> int:
     except (FormatError, ConstructionError, ResourceGuardError,
             UnavailableMapError, ValueError, OSError) as exc:
         print(f"trifree: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print(f"trifree: error: the search exceeded the recursion limit "
+              f"({sys.getrecursionlimit()}); the input is too large for this check",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -353,31 +353,17 @@ def twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(tuple(classes), tuple(c[0] for c in classes))
 
 
-def quotient(g: Graph, p: TwinPartition) -> Graph:
-    """The graph on twin-class representatives.
+def quotient(g: Graph) -> tuple[TwinPartition, Graph]:
+    """The twin partition of g and the graph on its class representatives.
 
-    `p` must be the current twin partition of `g`; anything stale is a
-    contract violation rather than a silent wrong answer.
+    Cross-class adjacency is all-or-nothing, so the subgraph induced on the
+    representatives is the quotient exactly; a twin-free g is its own
+    quotient and comes back unchanged.
     """
-    if p != twin_partition(g):
-        raise ContractViolation("partition is not the twin partition of this graph")
-    reps = p.representatives
-    index = {r: i for i, r in enumerate(reps)}
-    rows = [0] * len(reps)
-    for i, r in enumerate(reps):
-        for u in _bits(g.adj[r]):
-            j = index.get(u)
-            if j is None:
-                # neighbour is a non-representative twin; its representative
-                # carries the same adjacency, so membership is decided there
-                continue
-            rows[i] |= 1 << j
-    # cross-class adjacency is all-or-nothing, so rep rows restricted to reps
-    # describe the quotient exactly; rebuild symmetric closure defensively
-    for i in range(len(reps)):
-        for j in _bits(rows[i]):
-            rows[j] |= 1 << i
-    return Graph(len(reps), rows)
+    p = twin_partition(g)
+    if len(p.classes) == g.n:
+        return p, g
+    return p, induced_subgraph(g, p.representatives)
 
 
 def blowup(spec: BlowupSpec) -> Graph:
@@ -415,13 +401,7 @@ def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
     twin-heavy graphs; the canonical graph lists each class as a consecutive
     block in canonical quotient order.
     """
-    p = twin_partition(g)
-    if len(p.classes) == g.n:
-        _, position, _ = _canonical_search(g.adj, g.n)
-        perm = Permutation(tuple(position))
-        return relabel(g, perm), perm
-    reps = p.representatives
-    q = quotient(g, p)
+    p, q = quotient(g)
     _, qpos, _ = _canonical_search(q.adj, q.n, colors=p.sizes)
     class_at_pos = [()] * q.n
     for i in range(q.n):
@@ -461,11 +441,10 @@ def automorphism_order(g: Graph) -> int:
     product of class factorials times the number of size-preserving
     automorphisms of the twin quotient, counted by backtracking.
     """
-    p = twin_partition(g)
+    p, q = quotient(g)
     within = 1
     for c in p.classes:
         within *= factorial(len(c))
-    q = quotient(g, p)
     return _count_colored_autos(q, p.sizes) * within
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import Graph, TwinPartition, _bits, quotient, twin_partition
+from .graph import Graph, _bits, quotient
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,9 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class DVerdict:
-    holds: bool
-    level: int
-    witness: Optional[WeightVector]
+class Verdict:
+    """Outcome of a covering check: the level reached and any refutation."""
 
-
-@dataclass(frozen=True)
-class QVerdict:
     holds: bool
     level: int
     witness: Optional[WeightVector]
@@ -289,27 +284,26 @@ def _q_search_general(g: Graph, m: int) -> Optional[tuple[int, ...]]:
     return tuple(weights) if dfs(0, 0) else None
 
 
-def _on_quotient(g: Graph, run):
+def _on_quotient(g: Graph, run) -> Verdict:
     """Run a witness search on the twin quotient and lift any witness back."""
-    partition = twin_partition(g)
-    if len(partition.classes) == g.n:
-        return run(g)
-    verdict = run(quotient(g, partition))
-    if verdict.holds or verdict.witness is None:
+    partition, q = quotient(g)
+    verdict = run(q)
+    if verdict.witness is None:
         return verdict
     lifted = [0] * g.n
-    for cls_index, rep in enumerate(partition.representatives):
-        lifted[rep] = verdict.witness.weights[cls_index]
-    return type(verdict)(False, verdict.level, WeightVector(tuple(lifted)))
+    for rep, weight in zip(partition.representatives, verdict.witness.weights):
+        lifted[rep] = weight
+    return Verdict(False, verdict.level, WeightVector(tuple(lifted)))
 
 
-def check_d(g: Graph, k: int, direct: bool = False) -> DVerdict:
+def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
     """Decide the plain covering property up to level k.
 
     For each m = 1..k every weighting of total 3m must put weight at least
-    m+1 on some closed neighbourhood; the first refuting weighting (in
-    search order) is returned as the witness.  Runs on the twin quotient
-    unless ``direct`` is set; levels are checked in increasing order.
+    m+1 on the open neighbourhood of some vertex; the first refuting
+    weighting (in search order) is returned as the witness.  Runs on the
+    twin quotient unless ``direct`` is set; levels are checked in increasing
+    order.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
@@ -318,11 +312,11 @@ def check_d(g: Graph, k: int, direct: bool = False) -> DVerdict:
     for m in range(1, k + 1):
         witness = _coverage_search(g, m, lambda _: True)
         if witness is not None:
-            return DVerdict(False, m, WeightVector(witness))
-    return DVerdict(True, k, None)
+            return Verdict(False, m, WeightVector(witness))
+    return Verdict(True, k, None)
 
 
-def check_q(g: Graph, k: int, direct: bool = False) -> QVerdict:
+def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
     """Decide the independent-certificate covering property up to level k.
 
     A witness weighting admits no independent support subset of weight m+2
@@ -343,8 +337,8 @@ def check_q(g: Graph, k: int, direct: bool = False) -> QVerdict:
         else:
             witness = _q_search_general(g, m)
         if witness is not None:
-            return QVerdict(False, m, WeightVector(witness))
-    return QVerdict(True, k, None)
+            return Verdict(False, m, WeightVector(witness))
+    return Verdict(True, k, None)
 
 
 def validate_d_witness(g: Graph, m: int, weights: tuple[int, ...]) -> bool:

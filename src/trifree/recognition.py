@@ -28,7 +28,6 @@ from .graph import (
     blowup,
     isomorphic,
     quotient,
-    twin_partition,
     find_induced,
 )
 from .properties import (
@@ -104,8 +103,7 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
             triangle=maximality.triangle,
             missing_pair=maximality.missing_pair,
         )
-    partition = twin_partition(g)
-    omega = quotient(g, partition)
+    partition, omega = quotient(g)
     pattern, _ = mycielski_grotzsch()
     has_pattern = omega.n >= pattern.n and find_induced(omega, pattern) is not None
     for family in _candidates(omega.n, has_pattern):
@@ -117,7 +115,7 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
         for cls_index, members in enumerate(partition.classes):
             weights[perm.map[cls_index]] = len(members)
         return RecognitionCertificate(family, perm.map, tuple(weights))
-    verdict = check_d(omega, 4)
+    verdict = check_d(g, 4)
     if verdict.holds:
         return Refutation(
             INCONSISTENT,
@@ -126,12 +124,9 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
                 f"quotient (order {omega.n}) matches no template"
             ),
         )
-    lifted = [0] * g.n
-    for cls_index, rep in enumerate(partition.representatives):
-        lifted[rep] = verdict.witness.weights[cls_index]
-    if not validate_d_witness(g, verdict.level, tuple(lifted)):
+    if not validate_d_witness(g, verdict.level, verdict.witness.weights):
         raise InternalConsistencyError("lifted covering witness failed re-validation")
-    return Refutation(D4_FAILS, level=verdict.level, witness=WeightVector(tuple(lifted)))
+    return Refutation(D4_FAILS, level=verdict.level, witness=verdict.witness)
 
 
 def certify(g: Graph, certificate: RecognitionCertificate) -> bool:

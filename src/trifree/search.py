@@ -75,7 +75,6 @@ class ExtremalResult:
 
 _tf_levels: list[list[Graph]] = [[], [Graph(1, [0])]]  # triangle-free, canonical, by order
 _maximal_cache: dict[int, list[Graph]] = {}
-_census_cache: dict[int, list[CensusRow]] = {}
 
 
 def _independent_subsets(g: Graph) -> Iterator[int]:
@@ -182,32 +181,19 @@ def check_census_row(row: CensusRow) -> Optional[CensusViolation]:
     return None
 
 
-def census(
-    n: int, strict: bool = True, allow_large: bool = False, jobs: int = 1
-) -> list[CensusRow]:
+def census(n: int, strict: bool = True, allow_large: bool = False) -> list[CensusRow]:
     """Classify every maximal triangle-free graph on n vertices.
 
     With ``strict``, the first invariant violation raises CensusError with
-    the offending row attached.  ``jobs`` spreads row classification over
-    worker processes; enumeration itself is sequential either way, so the
-    output order never depends on it.
+    the offending row attached.
     """
-    if n not in _census_cache:
-        graphs = enumerate_maximal_tf(n, allow_large)
-        if jobs > 1 and len(graphs) > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                _census_cache[n] = pool.map(census_row, graphs)
-        else:
-            _census_cache[n] = [census_row(g) for g in graphs]
-    rows = _census_cache[n]
+    rows = [census_row(g) for g in enumerate_maximal_tf(n, allow_large)]
     if strict:
         for row in rows:
             violation = check_census_row(row)
             if violation is not None:
                 raise CensusError(violation)
-    return list(rows)
+    return rows
 
 
 def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:

@@ -35,6 +35,7 @@ from .graph import (
     BlowupSpec,
     Graph,
     _bits,
+    _mask_of,
     blowup,
     find_induced,
     find_induced_all,
@@ -243,13 +244,6 @@ def _check_beautiful(blowup_count=30):
                 bad["member"] = name
                 return False, bad
     return True, None
-
-
-def _mask_of(positions) -> int:
-    out = 0
-    for p in positions:
-        out |= 1 << p
-    return out
 
 
 def _small_set(lab, mask: int) -> bool:

@@ -164,7 +164,7 @@ def test_criterion_4_census():
 @pytest.mark.slow
 def test_criterion_4_census_n11():
     with criterion(4, "optional census extension, n = 11", budget=None):
-        for row in census(11, strict=True, allow_large=True, jobs=4):
+        for row in census(11, strict=True, allow_large=True):
             assert row.d4 == (row.recognized is not None)
             assert row.q4 == row.d4
 

@@ -151,6 +151,14 @@ def test_exit_codes():
     assert run_cli(["check", "--tf"], stdin=triangle).returncode == 1
 
 
+def test_deep_recursion_exits_as_input_error():
+    path = "p tf 1000\n" + "".join(f"e {v} {v + 1}\n" for v in range(999))
+    result = run_cli(["check", "--d", "1"], stdin=path)
+    assert result.returncode == 3
+    assert "recursion limit" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_timings_flag_is_the_only_instability():
     plain = run_cli(["check", "--maximal"], stdin="p tf 2\ne 0 1\n")
     timed = run_cli(["check", "--maximal", "--timings"], stdin="p tf 2\ne 0 1\n")

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 from trifree.families import andrasfai, cayley_6k, fig41, haggkvist_spec, vega
-from trifree.graph import BlowupSpec, Graph, blowup, from_edge_list, quotient, twin_partition
+from trifree.graph import BlowupSpec, Graph, blowup, from_edge_list, quotient
 from trifree.properties import (
     WeightVector,
     check_d,
@@ -151,7 +151,7 @@ def test_quotient_reduction_agreement():
     rng = random.Random(113)
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 10))
-        q = quotient(g, twin_partition(g))
+        _, q = quotient(g)
         assert check_d(g, 3).holds == check_d(q, 3).holds
 
 

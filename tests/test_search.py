@@ -123,13 +123,13 @@ def test_check_census_row_flags_doctored_rows():
     assert violation is not None and "recognized" in violation.invariant
 
 
-def test_census_parallel_agrees_with_serial():
-    serial = census(7, strict=True)
+def test_census_guard_holds_after_an_allowed_run(monkeypatch):
     import trifree.search as search_module
 
-    search_module._census_cache.pop(7, None)
-    parallel = census(7, strict=True, jobs=2)
-    assert serial == parallel
+    monkeypatch.setattr(search_module, "ENUMERATION_GUARD", 5)
+    assert len(census(6, allow_large=True)) == GOLDEN_COUNTS[6]
+    with pytest.raises(ResourceGuardError):
+        census(6)
 
 
 def test_hunt_is_empty_on_small_orders():

@@ -292,8 +292,8 @@ def _cmd_hunt(args) -> int:
 # -- paper-verify -------------------------------------------------------------
 
 
-def _report_payload(report) -> dict:
-    return {
+def _report_payload(report, timings: bool) -> dict:
+    payload = {
         "name": report.name,
         "parameters": report.parameters,
         "passed": report.passed,
@@ -301,12 +301,15 @@ def _report_payload(report) -> dict:
         "counterexample": report.counterexample,
         "details": report.details,
     }
+    if timings:
+        payload["elapsed"] = round(report.elapsed, 3)
+    return payload
 
 
 def _cmd_paper_verify(args) -> int:
     started = time.perf_counter()
     if args.check == "all":
-        reports = run_all(jobs=args.jobs)
+        reports = run_all()
     else:
         reports = [run_check(args.check)]
     failed = [r.name for r in reports if not r.passed]
@@ -315,7 +318,7 @@ def _cmd_paper_verify(args) -> int:
     ]
     fatal = [name for name in failed if name not in advisory]
     _emit(args, "paper-verify", {
-        "checks": [_report_payload(r) for r in reports],
+        "checks": [_report_payload(r, args.timings) for r in reports],
         "failed": failed,
         "advisory_only": advisory,
     }, started)
@@ -419,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-verify", help="run the registered lemma checks")
     p.add_argument("--check", default="all", choices=("all", *check_names()))
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--strict-automorphisms", action="store_true",
                    help="treat automorphism-group mismatches as fatal")
     _add_io(p, graph_input=False)

@@ -226,6 +226,23 @@ def _mask_of(cell: Sequence[int]) -> int:
     return mask
 
 
+def _independent_masks(g: Graph) -> Iterator[int]:
+    """Every independent set of g as a bitmask, the empty set included.
+
+    An explicit-stack DFS decides each vertex in turn, so only independent
+    sets are ever built.
+    """
+    stack = [(0, 0)]
+    while stack:
+        v, mask = stack.pop()
+        if v == g.n:
+            yield mask
+            continue
+        stack.append((v + 1, mask))
+        if not g.adj[v] & mask:
+            stack.append((v + 1, mask | 1 << v))
+
+
 def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
@@ -519,8 +536,24 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[Embedding]:
 
 
 def find_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
-    """The first induced embedding of pattern in host, or None."""
-    return next(find_induced_all(host, pattern), None)
+    """The first induced embedding of pattern in host, or None.
+
+    A twin-free pattern is searched in the twin quotient of host and the
+    result lifted through the class representatives.  The reduction is
+    exact: two twins of host inside a copy would be twins of the copy, so
+    every copy of a twin-free pattern uses distinct classes.  The lift is
+    the embedding `find_induced_all` yields first: moving each vertex of a
+    copy to its class's least member gives a copy with no larger
+    coordinate, so the lexicographically first copy uses representatives
+    only, and representatives keep their order in the quotient.
+    """
+    if len(twin_partition(pattern).classes) < pattern.n:
+        return next(find_induced_all(host, pattern), None)
+    p, q = quotient(host)
+    emb = next(find_induced_all(q, pattern), None)
+    if emb is None:
+        return None
+    return Embedding(pattern.n, tuple(p.representatives[v] for v in emb.map))
 
 
 # -- twins relative to a subgraph copy ----------------------------------

@@ -105,7 +105,7 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
         )
     partition, omega = quotient(g)
     pattern, _ = mycielski_grotzsch()
-    has_pattern = omega.n >= pattern.n and find_induced(omega, pattern) is not None
+    has_pattern = find_induced(omega, pattern) is not None
     for family in _candidates(omega.n, has_pattern):
         template = template_graph(family)
         perm = isomorphic(omega, template)

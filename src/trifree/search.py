@@ -11,13 +11,14 @@ triangle-freeness but not maximality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .families import AndrasfaiId, VegaId, andrasfai, extremal_formula, mycielski_grotzsch, vega
 from .graph import (
     BlowupSpec,
     Graph,
     _bits,
+    _independent_masks,
     blowup,
     canonical_form,
     find_induced,
@@ -77,25 +78,11 @@ _tf_levels: list[list[Graph]] = [[], [Graph(1, [0])]]  # triangle-free, canonica
 _maximal_cache: dict[int, list[Graph]] = {}
 
 
-def _independent_subsets(g: Graph) -> Iterator[int]:
-    for mask in range(1 << g.n):
-        ok = True
-        probe = mask
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            if g.adj[v] & mask:
-                ok = False
-                break
-            probe &= probe - 1
-        if ok:
-            yield mask
-
-
 def _extend_level(level: list[Graph]) -> list[Graph]:
     seen: dict[tuple[int, ...], Graph] = {}
     for g in level:
         rows = list(g.adj) + [0]
-        for mask in _independent_subsets(g):
+        for mask in _independent_masks(g):
             rows[g.n] = mask
             for v in _bits(mask):
                 rows[v] |= 1 << g.n
@@ -150,7 +137,7 @@ def census_row(g: Graph) -> CensusRow:
     outcome = recognize(g)
     recognized = outcome.family if isinstance(outcome, RecognitionCertificate) else None
     induced_c6 = find_induced(g, _C6) is not None
-    contains_upsilon = g.n >= _UPSILON.n and find_induced(g, _UPSILON) is not None
+    contains_upsilon = find_induced(g, _UPSILON) is not None
     return CensusRow(
         graph=g,
         order=g.n,

@@ -3,10 +3,9 @@
 Statements quantified over the whole recognized class are exercised on a
 fixed catalog — the template families plus seeded-random blow-ups — rather
 than proven.  Where a lemma's hypothesis or conclusion only depends on twin
-classes, blow-up instances are checked through a representative transversal
-of the embedded template copy; that reduction is exact because an induced
-copy of a twin-free pattern can never use two vertices of one twin class
-(they would be twins of the copy).
+classes, each host is checked on the copies of the pattern in its twin
+quotient, lifted to class representatives; `graph.find_induced` states why
+that reduction is exact for twin-free patterns.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .graph import (
     BlowupSpec,
     Graph,
     _bits,
+    _independent_masks,
     _mask_of,
     blowup,
     find_induced,
@@ -43,6 +43,7 @@ from .graph import (
     induced_subgraph,
     isomorphic,
     automorphism_order,
+    quotient,
 )
 from .properties import (
     check_d,
@@ -119,17 +120,24 @@ def _random_blowups(count: int, seed: int, max_weight: int = 3):
     for index in range(count):
         name, base = templates[index % len(templates)]
         weights = tuple(rng.randint(1, max_weight) for _ in range(base.n))
-        out.append((f"blowup[{name}] w={weights}", base, weights, blowup(BlowupSpec(base, weights))))
+        out.append((f"blowup[{name}] w={weights}", blowup(BlowupSpec(base, weights))))
     return out
 
 
-def _representative_positions(base: Graph, weights) -> list[int]:
-    starts = []
-    position = 0
-    for w in weights:
-        starts.append(position)
-        position += w
-    return starts
+def _every_copy(pattern: Graph, assertion, hosts) -> tuple[bool, Optional[dict]]:
+    """Apply `assertion(host, copy)` to every copy of pattern in each host.
+
+    The copies are those of the twin quotient, lifted to class
+    representatives; the first failure is returned with its member name.
+    """
+    for name, host in hosts:
+        part, q = quotient(host)
+        for emb in find_induced_all(q, pattern):
+            bad = assertion(host, tuple(part.representatives[t] for t in emb.map))
+            if bad is not None:
+                bad["member"] = name
+                return False, bad
+    return True, None
 
 
 # -- individual checks ----------------------------------------------------
@@ -180,10 +188,7 @@ def _check_edge_identity(i_max=6):
 
 def _check_cube_lemma(blowup_count=30):
     pattern = cube()
-    for name, g in _templates():
-        if find_induced(g, pattern) is not None:
-            return False, _fail(g, member=name, reason="induced cube found")
-    for name, _base, _w, host in _random_blowups(blowup_count, SEEDS["cube_lemma"]):
+    for name, host in _templates() + _random_blowups(blowup_count, SEEDS["cube_lemma"]):
         if find_induced(host, pattern) is not None:
             return False, _fail(host, member=name, reason="induced cube found")
     return True, None
@@ -201,21 +206,8 @@ def _nine_vertex_assert(host: Graph, emb_map) -> Optional[dict]:
 
 
 def _check_graph_n_lemma(blowup_count=30):
-    pattern = graph_n()
-    for name, g in _templates():
-        for emb in find_induced_all(g, pattern):
-            bad = _nine_vertex_assert(g, emb.map)
-            if bad is not None:
-                bad["member"] = name
-                return False, bad
-    for name, base, weights, host in _random_blowups(blowup_count, SEEDS["graph_n_lemma"], 2):
-        starts = _representative_positions(base, weights)
-        for emb in find_induced_all(base, pattern):
-            bad = _nine_vertex_assert(host, tuple(starts[t] for t in emb.map))
-            if bad is not None:
-                bad["member"] = name
-                return False, bad
-    return True, None
+    hosts = _templates() + _random_blowups(blowup_count, SEEDS["graph_n_lemma"], 2)
+    return _every_copy(graph_n(), _nine_vertex_assert, hosts)
 
 
 def _beautiful_assert(host: Graph, emb_map) -> Optional[dict]:
@@ -229,21 +221,8 @@ def _beautiful_assert(host: Graph, emb_map) -> Optional[dict]:
 
 
 def _check_beautiful(blowup_count=30):
-    pattern, _ = mycielski_grotzsch()
-    for name, g in _templates():
-        for emb in find_induced_all(g, pattern):
-            bad = _beautiful_assert(g, emb.map)
-            if bad is not None:
-                bad["member"] = name
-                return False, bad
-    for name, base, weights, host in _random_blowups(blowup_count, SEEDS["beautiful"], 2):
-        starts = _representative_positions(base, weights)
-        for emb in find_induced_all(base, pattern):
-            bad = _beautiful_assert(host, tuple(starts[t] for t in emb.map))
-            if bad is not None:
-                bad["member"] = name
-                return False, bad
-    return True, None
+    hosts = _templates() + _random_blowups(blowup_count, SEEDS["beautiful"], 2)
+    return _every_copy(mycielski_grotzsch()[0], _beautiful_assert, hosts)
 
 
 def _small_set(lab, mask: int) -> bool:
@@ -284,18 +263,6 @@ def _classify_independent(g: Graph, lab, mask: int) -> bool:
     return _small_set(lab, mask)
 
 
-def _independent_masks(g: Graph):
-    stack = [(0, 0)]
-    while stack:
-        v, mask = stack.pop()
-        if v == g.n:
-            yield mask
-            continue
-        stack.append((v + 1, mask))
-        if not g.adj[v] & mask:
-            stack.append((v + 1, mask | 1 << v))
-
-
 def _check_indep_classification(i_max=4):
     for i in range(2, i_max + 1):
         for mu in (0, 1):
@@ -318,8 +285,8 @@ def _check_no_small_neighborhood(i_max=4, per_member=10):
                 for _ in range(per_member):
                     weights = tuple(rng.randint(1, 3) for _ in range(base.n))
                     host = blowup(BlowupSpec(base, weights))
-                    starts = _representative_positions(base, weights)
-                    into_template = {starts[t]: t for t in range(base.n)}
+                    starts = quotient(host)[0].representatives
+                    into_template = {p: t for t, p in enumerate(starts)}
                     copy_mask = _mask_of(starts)
                     for q in range(host.n):
                         seen = host.adj[q] & copy_mask
@@ -366,21 +333,18 @@ def _bounded_weights(rng, n: int, max_product: int = 48) -> tuple[int, ...]:
 def _twin_attach_member(template: Graph, forbidden: Optional[Graph],
                         weights) -> Optional[dict]:
     host = blowup(BlowupSpec(template, weights))
-    if forbidden is not None and forbidden.n <= host.n:
-        if find_induced(host, forbidden) is not None:
-            return _fail(host, reason="hypothesis violated: larger template embeds")
+    if forbidden is not None and find_induced(host, forbidden) is not None:
+        return _fail(host, reason="hypothesis violated: larger template embeds")
     result = has_twin_property(host, template)
     if not result.holds:
         emb, qz, q2, z2 = result.counterexample
         return _fail(host, embedding=list(emb.map), edge=list(qz), pair=[q2, z2],
                      reason="twin property fails")
-    starts = _representative_positions(template, weights)
+    starts = quotient(host)[0].representatives
     copy_mask = _mask_of(starts)
-    traces = {template_vertex: host.adj[starts[template_vertex]] & copy_mask
-              for template_vertex in range(template.n)}
+    traces = {host.adj[s] & copy_mask for s in starts}
     for q in range(host.n):
-        look = host.adj[q] & copy_mask
-        if not any(look == trace for trace in traces.values()):
+        if host.adj[q] & copy_mask not in traces:
             return _fail(host, vertex=q, reason="vertex is no template-twin")
     return None
 
@@ -484,7 +448,7 @@ def _check_hexagon_prop(n_max=10):
     hexagon = _cycle(6)
     for n in range(2, n_max + 1):
         for g in enumerate_maximal_tf(n):
-            hexagon_free = g.n < 6 or find_induced(g, hexagon) is None
+            hexagon_free = find_induced(g, hexagon) is None
             outcome = recognize(g)
             is_circulant_family = (
                 isinstance(outcome, RecognitionCertificate)
@@ -539,11 +503,5 @@ def run_check(name: str, **params) -> CheckReport:
     )
 
 
-def run_all(jobs: int = 1) -> list[CheckReport]:
-    names = check_names()
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(run_check, names)
-    return [run_check(name) for name in names]
+def run_all() -> list[CheckReport]:
+    return [run_check(name) for name in check_names()]

@@ -212,7 +212,7 @@ def test_criterion_6_extremal_spot_checks():
 
 def test_criterion_7_verify_registry():
     with criterion(7, "registered verification checks", budget=300.0):
-        reports = run_all(jobs=2)
+        reports = run_all()
         assert [r.name for r in reports] == check_names()
         failed = [r.name for r in reports if not r.passed]
         assert failed == []

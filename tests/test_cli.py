@@ -166,6 +166,18 @@ def test_timings_flag_is_the_only_instability():
     assert "elapsed" in json.loads(timed.stdout)
 
 
+def test_timings_add_elapsed_to_each_check():
+    plain = run_cli(["paper-verify", "--check", "c310"])
+    timed = run_cli(["paper-verify", "--check", "c310", "--timings"])
+    assert plain.returncode == timed.returncode == 0
+    plain_check = json.loads(plain.stdout)["checks"][0]
+    timed_check = json.loads(timed.stdout)["checks"][0]
+    assert "elapsed" not in plain_check
+    elapsed = timed_check.pop("elapsed")
+    assert isinstance(elapsed, float) and elapsed >= 0
+    assert timed_check == plain_check
+
+
 def test_reports_use_sorted_keys():
     result = run_cli(["check", "--alpha"], stdin="p tf 2\ne 0 1\n")
     report = json.loads(result.stdout)

@@ -126,6 +126,25 @@ def test_find_induced_all_is_deterministic_and_complete():
     assert len(embs) == 12
 
 
+def test_find_induced_on_quotient_matches_direct_search():
+    rng = random.Random(29)
+    bases = [cycle(5), cycle(6), petersen(), path(4), complete(3)]
+    patterns = [cycle(5), cycle(6), path(4), complete(2), path(3), cycle(4)]
+    for _ in range(150):
+        base = rng.choice(bases)
+        weights = tuple(rng.randint(1, 3) for _ in range(base.n))
+        host = blowup(BlowupSpec(base, weights))
+        shuffled = list(range(host.n))
+        rng.shuffle(shuffled)
+        host = relabel(host, Permutation(tuple(shuffled)))
+        # path(3) and cycle(4) have twins and take the direct search
+        for pattern in patterns + [base]:
+            assert find_induced(host, pattern) == next(find_induced_all(host, pattern), None)
+        emb = find_induced(host, base)
+        reps = twin_partition(host).representatives
+        assert emb is not None and set(emb.map) <= set(reps)
+
+
 def test_twin_classes_are_independent_and_modular():
     rng = random.Random(17)
     for _ in range(200):

@@ -3,15 +3,22 @@
 Enumeration proceeds level by level: every triangle-free graph on t+1
 vertices arises from one on t vertices by attaching a new vertex to an
 independent set (possibly empty), so extending each isomorph-reduced level
-and deduplicating by canonical form is complete.  Maximality is filtered
-only at the requested order, since deleting a vertex preserves
-triangle-freeness but not maximality.
+and deduplicating by canonical form is complete.
+
+The maximal graphs on n vertices attach x to level n-1 only along maximal
+independent sets S that hold both ends of every deficient pair (two
+non-adjacent vertices with no common neighbour): S independent keeps g + x
+triangle-free, S dominating and x filling every deficient pair make it
+maximal.  This is complete: for any vertex v of a maximal triangle-free G,
+G - v lies in level n-1 up to relabelling, and N(v) is independent,
+dominates the rest (v shares a neighbour with every non-neighbour) and holds
+both ends of every pair whose only common neighbour in G is v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .families import AndrasfaiId, VegaId, andrasfai, extremal_formula, mycielski_grotzsch, vega
 from .graph import (
@@ -22,12 +29,12 @@ from .graph import (
     blowup,
     canonical_form,
     find_induced,
+    from_edge_list,
 )
 from .properties import (
     check_d,
     check_q,
     independence_number,
-    is_maximal_triangle_free,
     is_triangle_free,
 )
 from .recognition import RecognitionCertificate, certify, recognize
@@ -75,29 +82,34 @@ class ExtremalResult:
 
 
 _tf_levels: list[list[Graph]] = [[], [Graph(1, [0])]]  # triangle-free, canonical, by order
-_maximal_cache: dict[int, list[Graph]] = {}
 
 
-def _extend_level(level: list[Graph]) -> list[Graph]:
+def _attach(level: list[Graph], masks_of: Callable[[Graph], Iterable[int]]) -> list[Graph]:
+    """Each g + x with x joined to a mask of masks_of(g): canonical, deduplicated, sorted."""
     seen: dict[tuple[int, ...], Graph] = {}
     for g in level:
-        rows = list(g.adj) + [0]
-        for mask in _independent_masks(g):
-            rows[g.n] = mask
-            for v in _bits(mask):
-                rows[v] |= 1 << g.n
-            candidate = Graph(g.n + 1, rows)
-            canon, _ = canonical_form(candidate)
+        x = 1 << g.n
+        for mask in masks_of(g):
+            rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
+            canon, _ = canonical_form(Graph(g.n + 1, rows + [mask]))
             seen.setdefault(canon.adj, canon)
-            for v in _bits(mask):
-                rows[v] &= ~(1 << g.n)
     return [seen[key] for key in sorted(seen)]
 
 
 def _tf_graphs(n: int) -> list[Graph]:
     while len(_tf_levels) <= n:
-        _tf_levels.append(_extend_level(_tf_levels[-1]))
+        _tf_levels.append(_attach(_tf_levels[-1], _independent_masks))
     return _tf_levels[n]
+
+
+def _saturating_masks(g: Graph) -> list[int]:
+    """The maximal independent sets of g that hold every deficient pair."""
+    deficient = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.adj[u] >> v & 1 and not g.adj[u] & g.adj[v]:
+                deficient |= 1 << u | 1 << v
+    return [m for m in _maximal_independent_sets(g) if m & deficient == deficient]
 
 
 def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
@@ -110,22 +122,10 @@ def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
             f"enumeration at order {n} exceeds the default guard of "
             f"{ENUMERATION_GUARD}; pass allow_large=True to proceed"
         )
-    if n not in _maximal_cache:
-        _maximal_cache[n] = [
-            g for g in _tf_graphs(n) if is_maximal_triangle_free(g).holds
-        ]
-    return list(_maximal_cache[n])
+    return _attach(_tf_graphs(n - 1), _saturating_masks)
 
 
-def _cycle(n: int) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        rows[i] |= 1 << ((i + 1) % n)
-        rows[(i + 1) % n] |= 1 << i
-    return Graph(n, rows)
-
-
-_C6 = _cycle(6)
+_C6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
 _UPSILON = mycielski_grotzsch()[0]
 
 

@@ -52,7 +52,7 @@ from .properties import (
     validate_d_witness,
 )
 from .recognition import RecognitionCertificate, recognize
-from .search import _cycle, enumerate_maximal_tf
+from .search import _C6, enumerate_maximal_tf
 
 SEEDS = {
     "cube_lemma": 1031,
@@ -427,7 +427,7 @@ def _check_cayley_d2(k_max=4):
         if not validate_d_witness(g, 2, verdict.witness.weights):
             return False, _fail(g, k=k, witness=list(verdict.witness.weights),
                                 reason="witness failed re-validation")
-        if find_induced(g, _cycle(6)) is None:
+        if find_induced(g, _C6) is None:
             return False, _fail(g, k=k, reason="no induced hexagon located")
     return True, None
 
@@ -445,10 +445,9 @@ def _check_kappa_blowup():
 
 
 def _check_hexagon_prop(n_max=10):
-    hexagon = _cycle(6)
     for n in range(2, n_max + 1):
         for g in enumerate_maximal_tf(n):
-            hexagon_free = find_induced(g, hexagon) is None
+            hexagon_free = find_induced(g, _C6) is None
             outcome = recognize(g)
             is_circulant_family = (
                 isinstance(outcome, RecognitionCertificate)

@@ -10,9 +10,11 @@ from conftest import brute_force_maximal_tf, nx_independence_number
 from trifree.families import AndrasfaiId, VegaId, andrasfai
 from trifree.graph import BlowupSpec, Graph, blowup, canonical_form, isomorphic
 from trifree.properties import is_maximal_triangle_free, is_triangle_free
+import trifree.search as search_module
 from trifree.search import (
     CensusRow,
     ResourceGuardError,
+    _tf_graphs,
     census,
     census_row,
     check_census_row,
@@ -68,9 +70,37 @@ def test_enumeration_counts(n):
 
 
 def test_enumerated_graphs_revalidate():
-    for n in range(2, 10):
+    for n in range(2, 11):
         for g in enumerate_maximal_tf(n):
             assert brute_force_maximal_tf(g)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_enumeration_matches_filtered_level(n):
+    # the same canonical graphs in the same order as filtering the full
+    # triangle-free level, which the census rows depend on
+    reference = [g for g in _tf_graphs(n) if is_maximal_triangle_free(g).holds]
+    assert enumerate_maximal_tf(n) == reference
+
+
+def test_maximal_step_never_builds_the_full_level(monkeypatch):
+    _tf_graphs(9)
+    parents = len(search_module._tf_levels[9])
+    monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:10])
+    calls = 0
+    original = search_module.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    monkeypatch.setattr(search_module, "canonical_form", counted)
+    assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
+    # recomputed from level 9, with fewer candidates than level 9 has graphs
+    assert parents == 1897
+    assert 0 < calls < parents
+    assert len(search_module._tf_levels) == 10
 
 
 def test_enumeration_is_deterministic():
@@ -124,8 +154,6 @@ def test_check_census_row_flags_doctored_rows():
 
 
 def test_census_guard_holds_after_an_allowed_run(monkeypatch):
-    import trifree.search as search_module
-
     monkeypatch.setattr(search_module, "ENUMERATION_GUARD", 5)
     assert len(census(6, allow_large=True)) == GOLDEN_COUNTS[6]
     with pytest.raises(ResourceGuardError):

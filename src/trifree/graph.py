@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 1024
 
@@ -288,15 +288,30 @@ def _leaf_key(rows: Sequence[int], n: int, position: Sequence[int]) -> tuple[int
     return tuple(key)
 
 
+def _orbit(seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
+    """The closure of `seeds` under the maps in `gens`."""
+    orbit = set(seeds)
+    frontier = list(orbit)
+    while frontier:
+        u = frontier.pop()
+        for a in gens:
+            img = a[u]
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
 def _canonical_search(
     rows: Sequence[int], n: int, colors: Optional[Sequence[int]] = None
-) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
     """Backtracking canonical labeling with refinement and orbit pruning.
 
-    Returns (best key, vertex->position permutation, automorphism generators
-    discovered along the way).  With `colors`, only color-preserving
-    relabelings are considered; cells never cross color boundaries, so the
-    color of every canonical position is fixed.
+    Returns (vertex->position permutation, automorphisms found along the
+    way, first path).  The first path is the sequence of vertices
+    individualized on the way to the first leaf.  With `colors`, only
+    color-preserving relabelings are considered; cells never cross color
+    boundaries, so the color of every canonical position is fixed.
     """
     if colors is None:
         start = [list(range(n))]
@@ -309,10 +324,11 @@ def _canonical_search(
 
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     first: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    first_path: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
-    def record_leaf(cells: list[list[int]]) -> None:
-        nonlocal best, first
+    def record_leaf(cells: list[list[int]], prefix: list[int]) -> None:
+        nonlocal best, first, first_path
         position = [0] * n
         for pos, cell in enumerate(cells):
             position[cell[0]] = pos
@@ -327,13 +343,14 @@ def _canonical_search(
                     autos.append(auto)
         if first is None:
             first = (key, tuple(position))
+            first_path = tuple(prefix)
         if best is None or key < best[0]:
             best = (key, tuple(position))
 
     def descend(cells: list[list[int]], prefix: list[int]) -> None:
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            record_leaf(cells)
+            record_leaf(cells, prefix)
             return
         cell = cells[target]
         done: set[int] = set()
@@ -345,20 +362,12 @@ def _canonical_search(
             # Close the tried set under automorphisms fixing the prefix:
             # branching on an orbit-mate explores an identical subtree.
             fixing = [a for a in autos if all(a[p] == p for p in prefix)]
-            done.add(v)
-            frontier = list(done)
-            while frontier:
-                u = frontier.pop()
-                for a in fixing:
-                    img = a[u]
-                    if img not in done:
-                        done.add(img)
-                        frontier.append(img)
+            done = _orbit(done | {v}, fixing)
         return
 
     descend(start, [])
     assert best is not None
-    return best[0], best[1], autos
+    return best[1], autos, first_path
 
 
 def twin_partition(g: Graph) -> TwinPartition:
@@ -419,7 +428,7 @@ def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
     block in canonical quotient order.
     """
     p, q = quotient(g)
-    _, qpos, _ = _canonical_search(q.adj, q.n, colors=p.sizes)
+    qpos, _, _ = _canonical_search(q.adj, q.n, colors=p.sizes)
     class_at_pos = [()] * q.n
     for i in range(q.n):
         class_at_pos[qpos[i]] = p.classes[i]
@@ -455,51 +464,29 @@ def automorphism_order(g: Graph) -> int:
     """Exact order of the automorphism group.
 
     Twin classes may be permuted internally at will, so the order is the
-    product of class factorials times the number of size-preserving
-    automorphisms of the twin quotient, counted by backtracking.
+    product of class factorials times the order of the size-preserving
+    automorphism group A of the twin quotient.  That order is read off the
+    canonical search's first path p (McKay-Piperno, "Practical graph
+    isomorphism, II", JSC 60, 2014).  With A_i the pointwise stabiliser of
+    p[:i] in A, |A_i| = |orbit of p[i] under A_i| * |A_{i+1}|, and the
+    stabiliser of the whole path fixes the discrete first leaf, so |A| is
+    the product of those orbit sizes.  Each of them is the orbit of p[i]
+    under the found automorphisms that fix p[:i]: every automorphism found
+    under first-path node i fixes p[:i]; pruning skips a child only when it
+    lies in an orbit, under the automorphisms already found, of a child
+    that was explored; and each explored orbit-mate of p[i] reaches a leaf
+    equivalent to the first leaf, whose comparison with the first leaf
+    yields an automorphism taking that orbit-mate to p[i].
     """
     p, q = quotient(g)
-    within = 1
+    order = 1
     for c in p.classes:
-        within *= factorial(len(c))
-    return _count_colored_autos(q, p.sizes) * within
-
-
-def _count_colored_autos(g: Graph, colors: Sequence[int]) -> int:
-    """Count color-preserving automorphisms by backtracking over refined cells."""
-    by_color: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_color.setdefault(colors[v], []).append(v)
-    cells = _refine(g.adj, [by_color[c] for c in sorted(by_color)])
-    cell_mask = [0] * g.n
-    for cell in cells:
-        m = _mask_of(cell)
-        for v in cell:
-            cell_mask[v] = m
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    image = [0] * g.n
-    count = 0
-
-    def assign(step: int, used: int) -> None:
-        nonlocal count
-        if step == g.n:
-            count += 1
-            return
-        v = order[step]
-        cand = cell_mask[v] & ~used
-        for q in list(_bits(cand)):
-            ok = True
-            for earlier in order[:step]:
-                if (g.adj[v] >> earlier & 1) != (g.adj[q] >> image[earlier] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = q
-                assign(step + 1, used | 1 << q)
-        return
-
-    assign(0, 0)
-    return count
+        order *= factorial(len(c))
+    _, autos, path = _canonical_search(q.adj, q.n, colors=p.sizes)
+    for i, v in enumerate(path):
+        fixing = [a for a in autos if all(a[u] == u for u in path[:i])]
+        order *= len(_orbit((v,), fixing))
+    return order
 
 
 # -- induced pattern search --------------------------------------------

@@ -2,10 +2,13 @@
 
 A maximal triangle-free graph is a blow-up of a twin-free template exactly
 when its twin quotient is isomorphic to that template, so recognition is:
-quotient, route by order and by containment of the 11-vertex pattern, and
-test isomorphism against the few candidate templates.  When no candidate
-matches, a level-4 covering witness must exist; if it does not, the input
-would contradict the characterization, which is reported as its own
+quotient, list the few templates of the quotient's order, and test
+isomorphism against each in turn.  The order alone picks the candidates,
+and at most one family can match: Andrásfai graphs are 3-colourable, while
+every Vega graph contains the 4-chromatic 11-vertex graph, so no quotient
+is isomorphic to templates of both families.  When no candidate matches, a
+level-4 covering witness must exist; if it does not, the input would
+contradict the characterization, which is reported as its own
 first-class outcome rather than an error.
 """
 
@@ -19,7 +22,6 @@ from .families import (
     InternalConsistencyError,
     VegaId,
     andrasfai,
-    mycielski_grotzsch,
     vega,
 )
 from .graph import (
@@ -28,7 +30,6 @@ from .graph import (
     blowup,
     isomorphic,
     quotient,
-    find_induced,
 )
 from .properties import (
     WeightVector,
@@ -71,19 +72,25 @@ def template_graph(family: Union[AndrasfaiId, VegaId]) -> Graph:
     return vega(family.i, family.mu, family.nu)[0]
 
 
-def _candidates(order: int, has_pattern: bool):
-    """Template ids whose order matches, routed by pattern containment."""
+def _candidates(order: int):
+    """Template ids of the given order: the Andrásfai graph first, then Vega.
+
+    When order = 2 (mod 3) both families have members of that order.  A
+    quotient matches at most one of them: Andrásfai graphs are
+    3-colourable, and every Vega graph contains the 4-chromatic 11-vertex
+    graph, so a quotient without that graph matches no Vega template and
+    one with it matches no Andrásfai template.
+    """
     out: list[Union[AndrasfaiId, VegaId]] = []
-    if not has_pattern and order % 3 == 2:
+    if order % 3 == 2:
         out.append(AndrasfaiId((order + 1) // 3))
-    if has_pattern:
-        # order = 3i + 7 - (mu + nu) forces mu + nu mod 3, hence one i
-        for drop in (0, 1, 2):
-            if (order - 7 + drop) % 3 == 0:
-                i = (order - 7 + drop) // 3
-                if i >= 2:
-                    pairs = [(0, 0)] if drop == 0 else [(0, 1), (1, 0)] if drop == 1 else [(1, 1)]
-                    out.extend(VegaId(i, mu, nu) for mu, nu in pairs)
+    # order = 3i + 7 - (mu + nu) forces mu + nu mod 3, hence one i
+    for drop in (0, 1, 2):
+        if (order - 7 + drop) % 3 == 0:
+            i = (order - 7 + drop) // 3
+            if i >= 2:
+                pairs = [(0, 0)] if drop == 0 else [(0, 1), (1, 0)] if drop == 1 else [(1, 1)]
+                out.extend(VegaId(i, mu, nu) for mu, nu in pairs)
     return out
 
 
@@ -104,9 +111,7 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
             missing_pair=maximality.missing_pair,
         )
     partition, omega = quotient(g)
-    pattern, _ = mycielski_grotzsch()
-    has_pattern = find_induced(omega, pattern) is not None
-    for family in _candidates(omega.n, has_pattern):
+    for family in _candidates(omega.n):
         template = template_graph(family)
         perm = isomorphic(omega, template)
         if perm is None:

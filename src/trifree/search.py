@@ -112,16 +112,21 @@ def _saturating_masks(g: Graph) -> list[int]:
     return [m for m in _maximal_independent_sets(g) if m & deficient == deficient]
 
 
-def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
-    """All maximal triangle-free graphs on n vertices, one per isomorphism
-    class, in canonical form, sorted by canonical adjacency."""
-    if n < 2:
-        raise ValueError(f"order must be at least 2, got {n}")
+def _guard(n: int, allow_large: bool) -> None:
+    """Refuse enumeration at order n above the guard unless allowed."""
     if n > ENUMERATION_GUARD and not allow_large:
         raise ResourceGuardError(
             f"enumeration at order {n} exceeds the default guard of "
             f"{ENUMERATION_GUARD}; pass allow_large=True to proceed"
         )
+
+
+def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
+    """All maximal triangle-free graphs on n vertices, one per isomorphism
+    class, in canonical form, sorted by canonical adjacency."""
+    if n < 2:
+        raise ValueError(f"order must be at least 2, got {n}")
+    _guard(n, allow_large)
     return _attach(_tf_graphs(n - 1), _saturating_masks)
 
 
@@ -189,8 +194,10 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
 
     Hits are re-validated by direct (non-quotient) searches before being
     reported; completeness over the searched range is the contract, not
-    existence of a hit.
+    existence of a hit.  A max_n above the guard is refused before any
+    order is enumerated.
     """
+    _guard(max_n, allow_large)
     hits = []
     for n in range(2, max_n + 1):
         for g in enumerate_maximal_tf(n, allow_large):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
 from conftest import petersen, random_graph, to_nx
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from trifree import families
 from trifree.graph import (
     BlowupSpec,
     ConstructionError,
@@ -27,6 +30,7 @@ from trifree.graph import (
     relabel,
     twin_partition,
 )
+from trifree.search import _tf_graphs, enumerate_maximal_tf
 
 
 def cycle(n: int) -> Graph:
@@ -197,6 +201,36 @@ def test_automorphism_orders():
     assert automorphism_order(petersen()) == 120
     # doubled pentagon vertex: one swap times the stabilizer of that vertex
     assert automorphism_order(blowup(BlowupSpec(cycle(5), (2, 1, 1, 1, 1)))) == 4
+    # catalog orders, confirmed with networkx
+    assert automorphism_order(families.andrasfai(1)) == 2
+    for k in range(2, 9):
+        assert automorphism_order(families.andrasfai(k)) == 6 * k - 2
+    for k, order in ((1, 12), (2, 48), (3, 144), (4, 384), (6, 2304)):
+        assert automorphism_order(families.cayley_6k(k)) == order
+    assert automorphism_order(families.mycielski_grotzsch()[0]) == 10
+    assert automorphism_order(families.fig41()) == 8
+    assert automorphism_order(families.cube()) == 48
+    assert automorphism_order(families.graph_n()) == 12
+
+
+def _nx_automorphism_count(g: Graph, cap: int) -> int:
+    """networkx's count of automorphisms, stopping at cap + 1."""
+    autos = GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter()
+    return sum(1 for _ in itertools.islice(autos, cap + 1))
+
+
+def test_automorphism_order_agrees_with_networkx():
+    cap = 5000
+    rng = random.Random(2014)
+    hosts = [g for n in range(1, 8) for g in _tf_graphs(n)]
+    hosts += [g for n in range(2, 10) for g in enumerate_maximal_tf(n)]
+    hosts += [random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7))) for _ in range(150)]
+    for g in hosts:
+        expected = _nx_automorphism_count(g, cap)
+        if expected <= cap:
+            assert automorphism_order(g) == expected, g.adj
+        else:
+            assert automorphism_order(g) > cap, g.adj
 
 
 def test_h_twins_and_twin_property():

@@ -77,6 +77,29 @@ def test_unit_weights_recognize_templates_themselves():
         assert outcome.family == VegaId(i, 0, 0)
 
 
+def test_recognition_runs_no_pattern_search(monkeypatch):
+    import trifree.graph as graph_module
+
+    calls = []
+    original = graph_module.find_induced_all
+
+    def counted(host, pattern):
+        calls.append(pattern.n)
+        return original(host, pattern)
+
+    monkeypatch.setattr(graph_module, "find_induced_all", counted)
+    rng = random.Random(6)
+    base = vega(3, 1, 1)[0]
+    weights = tuple(rng.randint(1, 3) for _ in range(base.n))
+    expected = (AndrasfaiId(8), VegaId(5, 0, 0), VegaId(3, 1, 1))
+    inputs = (andrasfai(8), vega(5, 0, 0)[0], blowup(BlowupSpec(base, weights)))
+    for g, family in zip(inputs, expected):
+        outcome = recognize(g)
+        assert isinstance(outcome, RecognitionCertificate)
+        assert outcome.family == family
+    assert calls == []
+
+
 def test_template_graph_inverts_ids():
     assert template_graph(AndrasfaiId(3)).n == 8
     assert template_graph(VegaId(3, 1, 0)).n == 15

@@ -160,6 +160,20 @@ def test_census_guard_holds_after_an_allowed_run(monkeypatch):
         census(6)
 
 
+def test_hunt_guard_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(search_module, "ENUMERATION_GUARD", 5)
+    orders = []
+
+    def counted(n, allow_large=False):
+        orders.append(n)
+        return enumerate_maximal_tf(n, allow_large)
+
+    monkeypatch.setattr(search_module, "enumerate_maximal_tf", counted)
+    with pytest.raises(ResourceGuardError):
+        hunt_conjecture(7)
+    assert orders == []
+
+
 def test_hunt_is_empty_on_small_orders():
     assert hunt_conjecture(8) == []
 

@@ -21,12 +21,10 @@ from .graph import (
     Embedding,
     Graph,
     Permutation,
+    check_order,
     from_edge_list,
     relabel,
 )
-
-COLOURS = ("red", "green", "blue")
-
 
 class UnavailableMapError(ValueError):
     """The requested named map does not exist on this family member."""
@@ -67,6 +65,7 @@ def andrasfai(k: int) -> Graph:
     if k < 1:
         raise ConstructionError(f"family index must be >= 1, got {k}")
     n = 3 * k - 1
+    check_order(n)
     edges = [
         (u, (u + d) % n)
         for u in range(n)
@@ -139,9 +138,6 @@ class VegaLabeling:
             return "green"
         return "blue"
 
-    def colour_class(self, colour: str) -> tuple[int, ...]:
-        return {"red": self.red, "green": self.green, "blue": self.blue}[colour]
-
     def names(self) -> dict[int, str]:
         """Position -> display name, for reports and DOT export."""
         out = {}
@@ -164,6 +160,7 @@ def vega(i: int, mu: int, nu: int) -> tuple[Graph, VegaLabeling]:
     deletes inner label 2i-1 and mu=1 deletes y.
     """
     ident = VegaId(i, mu, nu)
+    check_order(ident.order)
     ninner = 3 * i - 1
     deleted = 2 * i - 1 if nu else -1
     inner_map = []
@@ -246,6 +243,7 @@ def cayley_6k(k: int) -> Graph:
     if k < 1:
         raise ConstructionError(f"family index must be >= 1, got {k}")
     n = 6 * k
+    check_order(n)
     edges = sorted(
         {
             (min(u, (u + d) % n), max(u, (u + d) % n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graph import ConstructionError, Graph, from_edge_list
+from .graph import ConstructionError, Graph, check_order, from_edge_list
 
 
 class FormatError(ValueError):
@@ -97,8 +97,10 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    if n == 0:
-        raise FormatError("graph6 order must be positive")
+    try:
+        check_order(n)
+    except ConstructionError as exc:
+        raise FormatError(str(exc)) from None
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body for order {n} needs {need} bytes, got {len(body)}")

@@ -32,27 +32,22 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Simple undirected graph with bitset adjacency rows."""
+    """Simple undirected graph with bitset adjacency rows.
+
+    A plain value: the constructor stores ``n`` and ``tuple(adj)`` and checks
+    nothing.  The caller guarantees 1 <= n <= MAX_VERTICES, exactly n rows,
+    every row inside 0..n-1, no loops and symmetric adjacency.  Outside data
+    enters through the validating constructors, `from_edge_list` and
+    `formats.parse_graph`; the other producers (`relabel`,
+    `induced_subgraph`, `quotient`, `blowup`, the enumeration's vertex
+    attachment, the graph6 decoder) build correct rows by construction.
+    """
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ConstructionError(f"order must be in 1..{MAX_VERTICES}, got {n}")
-        rows = tuple(adj)
-        if len(rows) != n:
-            raise ConstructionError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise ConstructionError(f"row {v} references vertices >= {n}")
-            if row >> v & 1:
-                raise ConstructionError(f"loop at vertex {v}")
-            for u in _bits(row):
-                if not rows[u] >> v & 1:
-                    raise ConstructionError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
-        self.adj = rows
+        self.adj = tuple(adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -130,10 +125,6 @@ class Embedding:
             mask |= 1 << v
         return mask
 
-    @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(self.map))
-
 
 @dataclass(frozen=True)
 class TwinPartition:
@@ -168,23 +159,28 @@ class BlowupSpec:
 # -- construction ------------------------------------------------------
 
 
+def check_order(n: int) -> None:
+    """Refuse a vertex count outside 1..MAX_VERTICES."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ConstructionError(f"order must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     """Build a graph from vertex count and an edge list.
 
-    Rejects out-of-range endpoints, loops, and duplicate pairs (in either
+    Rejects an order outside 1..MAX_VERTICES before allocating, then
+    out-of-range endpoints, loops, and duplicate pairs (in either
     orientation), naming the offending pair.
     """
+    check_order(n)
     rows = [0] * n
-    seen: set[frozenset[int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ConstructionError(f"edge ({u}, {v}) is a loop")
-        pair = frozenset((u, v))
-        if pair in seen:
+        if rows[u] >> v & 1:
             raise ConstructionError(f"duplicate edge ({u}, {v})")
-        seen.add(pair)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, rows)
@@ -399,8 +395,7 @@ def blowup(spec: BlowupSpec) -> Graph:
     becomes a complete bipartite bundle.
     """
     total = spec.expanded_order
-    if total > MAX_VERTICES:
-        raise ConstructionError(f"expanded order {total} exceeds {MAX_VERTICES}")
+    check_order(total)
     offsets = [0] * spec.base.n
     acc = 0
     for v in range(spec.base.n):

@@ -3,10 +3,11 @@
 The two covering properties share one witness format.  A weighting w >= 0
 with total 3m refutes level m of the plain covering property when no vertex
 sees weight m+1 in its neighbourhood, and refutes the independent-certificate
-variant when additionally no independent subset of the support reaches weight
-m+2, nor weight m+1 inside a single neighbourhood.  Searches canonicalize
-multisets as weight vectors and walk vertices in a fixed order, so results
-are deterministic.
+variant when no independent subset of the support reaches weight m+2, nor
+weight m+1 inside a single neighbourhood (on triangle-free graphs every
+neighbourhood is independent, so such a weighting refutes both).  Searches
+canonicalize multisets as weight vectors and walk vertices in a fixed order,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -166,15 +167,17 @@ def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def _coverage_search(
-    g: Graph, m: int, leaf_ok, isolated_cap: Optional[int] = None
+    g: Graph, m: int, bounds, leaf_ok, isolated_cap: Optional[int] = None
 ) -> Optional[tuple[int, ...]]:
-    """DFS over weightings with total 3m keeping every coverage <= m.
+    """DFS over weightings with total 3m keeping each coverage <= its bound.
 
-    Vertices are visited by descending degree; weights ascend from zero.
-    ``leaf_ok`` filters complete assignments (used for the certificate
-    variant); the first accepted leaf is returned.  Vertices without
-    neighbours are unconstrained by coverage, so they carry the full total
-    unless ``isolated_cap`` lowers that.
+    ``bounds[y]`` caps the weight on the neighbourhood of y; a bound of 3m
+    never prunes.  Vertices are visited by descending degree; weights ascend
+    from zero.  ``leaf_ok`` filters complete assignments (used for the
+    certificate variant); the first accepted leaf is returned.  A vertex with
+    a neighbour y carries at most m: more would break y's bound in the plain
+    property and fail the certificate at y in the variant.  Vertices without
+    neighbours carry the full total unless ``isolated_cap`` lowers that.
     """
     n = g.n
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -183,7 +186,7 @@ def _coverage_search(
     caps = [m if g.adj[v] else free for v in range(n)]
     deg = [g.degree(v) for v in range(n)]
     nbrs = [tuple(_bits(g.adj[v])) for v in range(n)]
-    room = [m] * n  # remaining coverage budget per vertex
+    room = list(bounds)  # remaining coverage budget per vertex
     weights = [0] * n
 
     def dfs(idx: int, placed: int, budget: int) -> bool:
@@ -238,7 +241,7 @@ def _coverage_search(
         weights[u] = 0
         return False
 
-    return tuple(weights) if dfs(0, 0, n * m) else None
+    return tuple(weights) if dfs(0, 0, sum(room)) else None
 
 
 def _certificate_free(g: Graph, m: int, weights) -> bool:
@@ -254,34 +257,6 @@ def _certificate_free(g: Graph, m: int, weights) -> bool:
             if near > m:
                 return False
     return True
-
-
-def _q_search_general(g: Graph, m: int) -> Optional[tuple[int, ...]]:
-    """Certificate-variant witness search without the coverage pruning,
-    which is only sound on triangle-free graphs."""
-    n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    target = 3 * m
-    caps = [min(m if g.adj[v] else m + 1, target) for v in range(n)]
-    suffix = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + caps[order[j]]
-    weights = [0] * n
-
-    def dfs(idx: int, placed: int) -> bool:
-        if placed == target:
-            return _certificate_free(g, m, weights)
-        if idx == n or placed + suffix[idx] < target:
-            return False
-        u = order[idx]
-        for val in range(min(caps[u], target - placed) + 1):
-            weights[u] = val
-            if dfs(idx + 1, placed + val):
-                return True
-        weights[u] = 0
-        return False
-
-    return tuple(weights) if dfs(0, 0) else None
 
 
 def _on_quotient(g: Graph, run) -> Verdict:
@@ -310,7 +285,7 @@ def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
     if not direct:
         return _on_quotient(g, lambda h: check_d(h, k, direct=True))
     for m in range(1, k + 1):
-        witness = _coverage_search(g, m, lambda _: True)
+        witness = _coverage_search(g, m, [m] * g.n, lambda _: True)
         if witness is not None:
             return Verdict(False, m, WeightVector(witness))
     return Verdict(True, k, None)
@@ -320,22 +295,21 @@ def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
     """Decide the independent-certificate covering property up to level k.
 
     A witness weighting admits no independent support subset of weight m+2
-    and none of weight m+1 with a common neighbour.  On triangle-free
-    inputs the search reuses the coverage pruning (neighbourhoods are
-    independent there); otherwise a capped direct enumeration runs.
+    and none of weight m+1 with a common neighbour.  The search prunes by
+    coverage at every vertex whose neighbourhood is independent (all of
+    them on triangle-free input): weight above m there already fails the
+    second condition.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if not direct:
         return _on_quotient(g, lambda h: check_q(h, k, direct=True))
-    free, _ = is_triangle_free(g)
+    independent = [all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
     for m in range(1, k + 1):
-        if free:
-            witness = _coverage_search(
-                g, m, lambda w: _certificate_free(g, m, w), isolated_cap=m + 1
-            )
-        else:
-            witness = _q_search_general(g, m)
+        witness = _coverage_search(
+            g, m, [m if ind else 3 * m for ind in independent],
+            lambda w: _certificate_free(g, m, w), isolated_cap=m + 1,
+        )
         if witness is not None:
             return Verdict(False, m, WeightVector(witness))
     return Verdict(True, k, None)

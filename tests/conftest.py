@@ -14,6 +14,7 @@ import random
 import networkx as nx
 
 from trifree.graph import Graph, from_edge_list
+from trifree.properties import validate_q_witness
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -68,6 +69,23 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def brute_force_q1(g: Graph):
+    """The least weighting of total 3 that refutes the certificate variant
+    at level 1, or None.
+
+    Weightings are ordered lexicographically along the covering search's
+    vertex order: degree descending, ties by index.
+    """
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for parts in _compositions(3, g.n):
+        weights = [0] * g.n
+        for v, w in zip(order, parts):
+            weights[v] = w
+        if validate_q_witness(g, 1, tuple(weights)):
+            return tuple(weights)
+    return None
 
 
 def brute_force_maximal_tf(g: Graph) -> bool:

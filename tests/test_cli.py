@@ -43,9 +43,19 @@ def test_graph6_hand_encodings():
 
 
 def test_elist_rejects_malformed_input():
-    for text in ("", "e 0 1", "p tf 2\ne 0 1\ne 0 1", "p tf two", "q tf 2"):
+    for text in ("", "e 0 1", "p tf 2\ne 0 1\ne 0 1", "p tf two", "q tf 2",
+                 "p tf 0", "p tf 1025", "p tf 100000000000000000000"):
         with pytest.raises(FormatError):
             parse_elist(text)
+
+
+def test_graph6_rejects_order_above_limit():
+    # Long-form header ~ plus three bytes for order 1025, body all zeros.
+    n = 1025
+    header = "~" + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
+    body = "?" * ((n * (n - 1) // 2 + 5) // 6)
+    with pytest.raises(FormatError):
+        parse_graph6(header + body)
 
 
 def test_gen_pipe_check_holds():
@@ -147,6 +157,8 @@ def test_exit_codes():
     assert run_cli(["recognize"], stdin="p tf 1\n").returncode == 3  # too small
     assert run_cli(["census", "--n", "13"]).returncode == 3          # guard
     assert run_cli(["extremal", "--n", "10", "--s", "3"]).returncode == 3
+    huge = run_cli(["check", "--tf"], stdin="p tf 100000000000000000000\n")
+    assert huge.returncode == 3 and "Traceback" not in huge.stderr
     triangle = "p tf 3\ne 0 1\ne 0 2\ne 1 2\n"
     assert run_cli(["check", "--tf"], stdin=triangle).returncode == 1
 

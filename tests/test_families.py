@@ -26,6 +26,7 @@ from trifree.families import (
     vega,
 )
 from trifree.graph import (
+    ConstructionError,
     blowup,
     find_induced,
     from_edge_list,
@@ -65,9 +66,22 @@ def test_smallest_circulants_are_edge_and_pentagon():
     assert isomorphic(andrasfai(2), cycle(5)) is not None
 
 
-def test_andrasfai_rejects_bad_index():
+def _refuse_edge_lists(monkeypatch):
+    """Make any edge-list construction fail: an oversized member must be
+    refused before its edges are listed."""
+    def fail(*_):
+        raise AssertionError("edge list built before the order check")
+
+    monkeypatch.setattr("trifree.families.from_edge_list", fail)
+
+
+def test_andrasfai_rejects_bad_index(monkeypatch):
     with pytest.raises(ValueError):
         andrasfai(0)
+    _refuse_edge_lists(monkeypatch)
+    for k in (342, 100_000):  # orders 1025 and 299,999
+        with pytest.raises(ConstructionError):
+            andrasfai(k)
 
 
 @pytest.mark.parametrize("i", range(2, 6))
@@ -109,11 +123,15 @@ def test_reduced_vega_is_the_eleven_vertex_graph():
     assert isomorphic(vega(2, 1, 1)[0], mycielski_grotzsch()[0]) is not None
 
 
-def test_vega_rejects_bad_parameters():
+def test_vega_rejects_bad_parameters(monkeypatch):
     with pytest.raises(ValueError):
         vega(1, 0, 0)
     with pytest.raises(ValueError):
         vega(2, 2, 0)
+    _refuse_edge_lists(monkeypatch)
+    for i, mu, nu in ((340, 1, 1), (100_000, 0, 0)):  # orders 1025 and 300,007
+        with pytest.raises(ConstructionError):
+            vega(i, mu, nu)
 
 
 def test_named_map_availability():
@@ -201,6 +219,14 @@ def test_cayley_family_shape(k):
     assert len(degrees) == 1  # vertex-transitive circulant
     assert is_triangle_free(g)[0]
     assert find_induced(g, cycle(6)) is not None
+
+
+def test_cayley_rejects_bad_index(monkeypatch):
+    with pytest.raises(ConstructionError):
+        cayley_6k(0)
+    _refuse_edge_lists(monkeypatch)
+    with pytest.raises(ConstructionError):
+        cayley_6k(171)  # order 1026
 
 
 def test_counterexample_fixture():

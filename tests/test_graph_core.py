@@ -187,6 +187,37 @@ def test_quotient_of_blowup_recovers_twin_free_base():
             assert isomorphic(q, base) is not None
 
 
+def test_internal_producers_build_valid_rows():
+    # Graph stores its rows unchecked, so every producer must emit a
+    # symmetric, loop-free adjacency inside 0..n-1: rebuilding through the
+    # validating constructor must give the same graph.
+    rng = random.Random(31)
+    hosts = [random_graph(rng, rng.randint(1, 12), rng.choice((0.3, 0.5, 0.7)))
+             for _ in range(150)]
+    for base in (cycle(5), petersen(), path(4)):
+        for _ in range(20):
+            big = blowup(BlowupSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n))))
+            shuffle = list(range(big.n))
+            rng.shuffle(shuffle)
+            hosts.append(relabel(big, Permutation(tuple(shuffle))))
+    hosts += _tf_graphs(8)
+    hosts += [g for n in range(2, 11) for g in enumerate_maximal_tf(n)]
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        weights = tuple(rng.randint(1, 2) for _ in range(g.n))
+        for h in (
+            g,
+            relabel(g, Permutation(tuple(perm))),
+            induced_subgraph(g, keep),
+            quotient(g)[1],
+            blowup(BlowupSpec(g, weights)),
+            canonical_form(g)[0],
+        ):
+            assert from_edge_list(h.n, list(h.edges())) == h, h.adj
+
+
 def test_blowup_rejects_bad_weights():
     with pytest.raises(ConstructionError):
         BlowupSpec(cycle(5), (1, 1, 1))

@@ -8,6 +8,7 @@ import random
 import pytest
 from conftest import (
     brute_force_d,
+    brute_force_q1,
     nx_independence_number,
     nx_max_weight_independent_set,
     petersen,
@@ -126,6 +127,22 @@ def test_check_q_known_graphs():
     assert not fig.holds
     assert validate_q_witness(fig41(), fig.level, fig.witness.weights)
     assert validate_q_witness(fig41(), 4, (1,) * 12)
+
+
+def test_check_q_witness_with_triangles_matches_brute_force():
+    # A triangle with unit weights refutes level 1, so the search stops
+    # there.  Twin-free inputs only: on them the quotient is the input, so
+    # the lifted witness is the search's own first leaf.
+    rng = random.Random(131)
+    tested = 0
+    while tested < 60:
+        g = random_graph(rng, rng.randint(3, 9), 0.5)
+        if is_triangle_free(g)[0] or len(quotient(g)[0].classes) < g.n:
+            continue
+        verdict = check_q(g, 2)
+        assert not verdict.holds and verdict.level == 1
+        assert verdict.witness.weights == brute_force_q1(g)
+        tested += 1
 
 
 def test_isolated_vertices_defeat_both_properties():

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .families import (
     AndrasfaiId,
-    UnavailableMapError,
     andrasfai,
     cayley_6k,
     cube,
@@ -30,15 +29,8 @@ from .families import (
     mycielski_grotzsch,
     vega,
 )
-from .formats import (
-    FormatError,
-    graph_payload,
-    parse_graph,
-    write_dot,
-    write_graph,
-    write_graph6,
-)
-from .graph import BlowupSpec, ConstructionError, Graph, blowup
+from .formats import graph_payload, parse_graph, write_dot, write_graph, write_graph6
+from .graph import BlowupSpec, Graph, blowup
 from .properties import (
     check_d,
     check_q,
@@ -55,8 +47,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
-
-ADVISORY_CHECKS = frozenset({"automorphisms"})
 
 
 def _version() -> str:
@@ -102,7 +92,7 @@ def _family_payload(family) -> dict:
 
 
 def _weights_payload(w) -> Optional[list]:
-    return None if w is None else list(w.weights)
+    return None if w is None else list(w)
 
 
 # -- gen -------------------------------------------------------------------
@@ -313,16 +303,11 @@ def _cmd_paper_verify(args) -> int:
     else:
         reports = [run_check(args.check)]
     failed = [r.name for r in reports if not r.passed]
-    advisory = [] if args.strict_automorphisms else [
-        name for name in failed if name in ADVISORY_CHECKS
-    ]
-    fatal = [name for name in failed if name not in advisory]
     _emit(args, "paper-verify", {
         "checks": [_report_payload(r, args.timings) for r in reports],
         "failed": failed,
-        "advisory_only": advisory,
     }, started)
-    return EXIT_FAIL if fatal else EXIT_OK
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 # -- extremal ------------------------------------------------------------------
@@ -356,8 +341,8 @@ def _add_io(parser, graph_input: bool) -> None:
     if graph_input:
         parser.add_argument("--in", dest="infile", default="-", metavar="PATH",
                             help="input graph file, '-' for stdin (default)")
-    parser.add_argument("--format", choices=("elist", "graph6"), default="elist",
-                        help="graph text format (default elist)")
+        parser.add_argument("--format", choices=("elist", "graph6"), default="elist",
+                            help="graph text format (default elist)")
     parser.add_argument("--out", default="-", metavar="PATH",
                         help="output file, '-' for stdout (default)")
     parser.add_argument("--timings", action="store_true",
@@ -422,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-verify", help="run the registered lemma checks")
     p.add_argument("--check", default="all", choices=("all", *check_names()))
-    p.add_argument("--strict-automorphisms", action="store_true",
-                   help="treat automorphism-group mismatches as fatal")
     _add_io(p, graph_input=False)
     p.set_defaults(handler=_cmd_paper_verify)
 
@@ -433,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true",
                    help="also search template blow-ups for attaining weightings")
     p.add_argument("--max-order", type=int, default=30,
-                   help="largest template order considered in the search")
+                   help="largest order n the search accepts (default 30); "
+                        "a larger n exits 3")
     _add_io(p, graph_input=False)
     p.set_defaults(handler=_cmd_extremal)
 
@@ -444,8 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, ConstructionError, ResourceGuardError,
-            UnavailableMapError, ValueError, OSError) as exc:
+    except (ResourceGuardError, ValueError, OSError) as exc:
         print(f"trifree: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

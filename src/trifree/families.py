@@ -18,7 +18,6 @@ from typing import Optional
 from .graph import (
     BlowupSpec,
     ConstructionError,
-    Embedding,
     Graph,
     Permutation,
     check_order,
@@ -381,14 +380,12 @@ class AuxPath:
     labels: tuple[int, int, int, int]
     positions: tuple[int, int, int, int]
     colour: str
-    base_index: Optional[int]  # j when the path is j - (j+i) - (j+2i) - (j+1)
 
 
 def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
     """Every monochromatic-endpoint path of length three in the inner circulant.
 
-    Reversals are identified (the lower endpoint label comes first) and the
-    members of the j - (j+i) - (j+2i) - (j+1) family are marked.
+    Reversals are identified (the lower endpoint label comes first).
     """
     _, lab = vega(i, mu, nu)
     ninner = 3 * i - 1
@@ -400,11 +397,6 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
         ]
         for j in alive
     }
-    base = {}
-    for j in range(ninner):
-        quad = (j, (j + i) % ninner, (j + 2 * i) % ninner, (j + 1) % ninner)
-        if all(lab.inner_map[q] >= 0 for q in quad):
-            base[quad] = j
     out = []
     for p0 in alive:
         for p1 in adj[p0]:
@@ -417,15 +409,11 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
                     if lab.colour_of_label(p0) != lab.colour_of_label(p3):
                         continue
                     quad = (p0, p1, p2, p3)
-                    j = base.get(quad)
-                    if j is None:
-                        j = base.get(quad[::-1])
                     out.append(
                         AuxPath(
                             labels=quad,
                             positions=tuple(lab.inner_map[q] for q in quad),
                             colour=lab.colour_of_label(p0),
-                            base_index=j,
                         )
                     )
     out.sort(key=lambda p: p.labels)
@@ -436,12 +424,15 @@ _FIRST = {"red": "a", "green": "b", "blue": "c"}
 _SECOND = {"red": "u", "green": "v", "blue": "w"}
 
 
-def upsilon_of_path(i: int, mu: int, nu: int, pi: AuxPath) -> Embedding:
+def upsilon_of_path(i: int, mu: int, nu: int, pi: AuxPath) -> tuple[int, ...]:
     """The induced 11-vertex pattern copy determined by an auxiliary path.
 
     The copy uses the path, x, and the six hexagon vertices, wired by the
-    colours of the path entries; the embedding is re-checked to be induced
-    before it is returned.
+    colours of the path entries; it is returned as the host image of each
+    pattern vertex, after a re-check that it is induced.  The re-check also
+    forces the map to be injective: two pattern vertices with one image pass
+    it only if they are non-adjacent, and the pattern is twin-free, so some
+    third pattern vertex is adjacent to just one of them, a pair it rejects.
     """
     graph, lab = vega(i, mu, nu)
     if pi not in aux_paths(i, mu, nu):
@@ -464,14 +455,13 @@ def upsilon_of_path(i: int, mu: int, nu: int, pi: AuxPath) -> Embedding:
     images[up.b[3]] = p1
     images[up.b[4]] = pos[_SECOND[phi]]
     images[up.c] = pos[_FIRST[phi]]
-    emb = Embedding(11, tuple(images))
     for s in range(11):
         for t in range(s + 1, 11):
             if pattern.has_edge(s, t) != graph.has_edge(images[s], images[t]):
                 raise InternalConsistencyError(
                     f"path copy is not induced at pattern pair ({s}, {t})"
                 )
-    return emb
+    return tuple(images)
 
 
 # -- extremal edge-count formula ----------------------------------------

@@ -16,12 +16,8 @@ class FormatError(ValueError):
     """Input text does not parse as a graph in the requested format."""
 
 
-def write_elist(g: Graph, comment: Optional[str] = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"p tf {g.n}")
+def write_elist(g: Graph) -> str:
+    lines = [f"p tf {g.n}"]
     lines.extend(f"e {u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 

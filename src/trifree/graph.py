@@ -57,9 +57,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.adj[u] >> (u + 1) << (u + 1)
@@ -93,9 +90,6 @@ class Permutation:
         if sorted(self.map) != list(range(len(self.map))):
             raise ConstructionError("permutation image list is not a bijection")
 
-    def __call__(self, v: int) -> int:
-        return self.map[v]
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.map)
         for v, img in enumerate(self.map):
@@ -105,25 +99,6 @@ class Permutation:
     def then(self, other: "Permutation") -> "Permutation":
         """The composition applying self first, then other."""
         return Permutation(tuple(other.map[img] for img in self.map))
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """An injective map from pattern vertices to host vertices."""
-
-    pattern_order: int
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.map) != self.pattern_order or len(set(self.map)) != self.pattern_order:
-            raise ConstructionError("embedding map must be injective over the pattern")
-
-    @property
-    def image_mask(self) -> int:
-        mask = 0
-        for v in self.map:
-            mask |= 1 << v
-        return mask
 
 
 @dataclass(frozen=True)
@@ -187,7 +162,7 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
 
 def relabel(g: Graph, perm: Permutation) -> Graph:
-    """The graph with vertex v renamed to perm(v)."""
+    """The graph with vertex v renamed to perm.map[v]."""
     if len(perm.map) != g.n:
         raise ContractViolation("permutation length differs from graph order")
     rows = [0] * g.n
@@ -299,24 +274,20 @@ def _orbit(seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
 
 
 def _canonical_search(
-    rows: Sequence[int], n: int, colors: Optional[Sequence[int]] = None
+    rows: Sequence[int], n: int, colors: Sequence[int]
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
     """Backtracking canonical labeling with refinement and orbit pruning.
 
     Returns (vertex->position permutation, automorphisms found along the
     way, first path).  The first path is the sequence of vertices
-    individualized on the way to the first leaf.  With `colors`, only
-    color-preserving relabelings are considered; cells never cross color
-    boundaries, so the color of every canonical position is fixed.
+    individualized on the way to the first leaf.  Only color-preserving
+    relabelings are considered; cells never cross color boundaries, so the
+    color of every canonical position is fixed.
     """
-    if colors is None:
-        start = [list(range(n))]
-    else:
-        by_color: dict[int, list[int]] = {}
-        for v in range(n):
-            by_color.setdefault(colors[v], []).append(v)
-        start = [by_color[c] for c in sorted(by_color)]
-    start = _refine(rows, start)
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    start = _refine(rows, [by_color[c] for c in sorted(by_color)])
 
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     first: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -487,11 +458,13 @@ def automorphism_order(g: Graph) -> int:
 # -- induced pattern search --------------------------------------------
 
 
-def find_induced_all(host: Graph, pattern: Graph) -> Iterator[Embedding]:
+def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
     """All induced embeddings of pattern in host, in deterministic order.
 
-    Pattern vertices are placed highest-degree-first (ties by index) and host
-    candidates scanned in increasing order, so the stream is reproducible.
+    Each embedding is the tuple of host images of the pattern vertices, and
+    no host vertex is used twice.  Pattern vertices are placed
+    highest-degree-first (ties by index) and host candidates scanned in
+    increasing order, so the stream is reproducible.
     """
     if pattern.n > host.n:
         return
@@ -499,9 +472,9 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[Embedding]:
     full = (1 << host.n) - 1
     assign = [0] * pattern.n
 
-    def place(step: int, used: int) -> Iterator[Embedding]:
+    def place(step: int, used: int) -> Iterator[tuple[int, ...]]:
         if step == pattern.n:
-            yield Embedding(pattern.n, tuple(assign))
+            yield tuple(assign)
             return
         p = order[step]
         cand = full & ~used
@@ -517,7 +490,7 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[Embedding]:
     yield from place(0, 0)
 
 
-def find_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
+def find_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
     """The first induced embedding of pattern in host, or None.
 
     A twin-free pattern is searched in the twin quotient of host and the
@@ -535,19 +508,19 @@ def find_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     emb = next(find_induced_all(q, pattern), None)
     if emb is None:
         return None
-    return Embedding(pattern.n, tuple(p.representatives[v] for v in emb.map))
+    return tuple(p.representatives[v] for v in emb)
 
 
 # -- twins relative to a subgraph copy ----------------------------------
 
 
-def h_twins(g: Graph, h: Embedding, q: int) -> tuple[int, ...]:
+def h_twins(g: Graph, h: Sequence[int], q: int) -> tuple[int, ...]:
     """All vertices whose neighbourhood inside the copy equals that of q.
 
-    `q` must lie in the image of the embedding; the result always contains q
-    and may mix copy vertices with outside vertices.
+    `h` is the copy's host vertices and must contain `q`; the result always
+    contains q and may mix copy vertices with outside vertices.
     """
-    hmask = h.image_mask
+    hmask = _mask_of(h)
     if not hmask >> q & 1:
         raise ValueError(f"vertex {q} is not in the embedded copy")
     trace = g.adj[q] & hmask
@@ -557,7 +530,7 @@ def h_twins(g: Graph, h: Embedding, q: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TwinPropertyResult:
     holds: bool
-    counterexample: Optional[tuple[Embedding, tuple[int, int], int, int]] = None
+    counterexample: Optional[tuple[tuple[int, ...], tuple[int, int], int, int]] = None
 
 
 def has_twin_property(
@@ -575,10 +548,10 @@ def has_twin_property(
     seen: set[tuple[int, frozenset[int]]] = set()
     for emb in find_induced_all(g, f):
         if e is None:
-            pairs = [(emb.map[u], emb.map[v]) for u, v in f.edges()]
+            pairs = [(emb[u], emb[v]) for u, v in f.edges()]
         else:
-            pairs = [(emb.map[e[0]], emb.map[e[1]])]
-        hmask = emb.image_mask
+            pairs = [(emb[e[0]], emb[e[1]])]
+        hmask = _mask_of(emb)
         for qz in pairs:
             key = (hmask, frozenset(qz))
             if key in seen:

@@ -13,37 +13,21 @@ so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graph import Graph, _bits, quotient
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Per-vertex nonnegative integer multiplicities of a vertex multiset."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, w in enumerate(self.weights) if w > 0)
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a covering check: the level reached and any refutation."""
+    """Outcome of a covering check: the level reached and any refutation.
+
+    The witness is the refuting weighting, one multiplicity per vertex.
+    """
 
     holds: bool
     level: int
-    witness: Optional[WeightVector]
+    witness: Optional[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -266,9 +250,9 @@ def _on_quotient(g: Graph, run) -> Verdict:
     if verdict.witness is None:
         return verdict
     lifted = [0] * g.n
-    for rep, weight in zip(partition.representatives, verdict.witness.weights):
+    for rep, weight in zip(partition.representatives, verdict.witness):
         lifted[rep] = weight
-    return Verdict(False, verdict.level, WeightVector(tuple(lifted)))
+    return Verdict(False, verdict.level, tuple(lifted))
 
 
 def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
@@ -287,7 +271,7 @@ def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
     for m in range(1, k + 1):
         witness = _coverage_search(g, m, [m] * g.n, lambda _: True)
         if witness is not None:
-            return Verdict(False, m, WeightVector(witness))
+            return Verdict(False, m, witness)
     return Verdict(True, k, None)
 
 
@@ -311,7 +295,7 @@ def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
             lambda w: _certificate_free(g, m, w), isolated_cap=m + 1,
         )
         if witness is not None:
-            return Verdict(False, m, WeightVector(witness))
+            return Verdict(False, m, witness)
     return Verdict(True, k, None)
 
 

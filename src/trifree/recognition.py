@@ -32,7 +32,6 @@ from .graph import (
     quotient,
 )
 from .properties import (
-    WeightVector,
     check_d,
     is_maximal_triangle_free,
     validate_d_witness,
@@ -62,7 +61,7 @@ class Refutation:
     triangle: Optional[tuple[int, int, int]] = None
     missing_pair: Optional[tuple[int, int]] = None
     level: Optional[int] = None
-    witness: Optional[WeightVector] = None
+    witness: Optional[tuple[int, ...]] = None
     details: Optional[str] = None
 
 
@@ -129,7 +128,7 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
                 f"quotient (order {omega.n}) matches no template"
             ),
         )
-    if not validate_d_witness(g, verdict.level, verdict.witness.weights):
+    if not validate_d_witness(g, verdict.level, verdict.witness):
         raise InternalConsistencyError("lifted covering witness failed re-validation")
     return Refutation(D4_FAILS, level=verdict.level, witness=verdict.witness)
 

@@ -28,8 +28,9 @@ from .graph import (
     _independent_masks,
     blowup,
     canonical_form,
-    find_induced,
+    find_induced_all,
     from_edge_list,
+    quotient,
 )
 from .properties import (
     check_d,
@@ -37,7 +38,7 @@ from .properties import (
     independence_number,
     is_triangle_free,
 )
-from .recognition import RecognitionCertificate, certify, recognize
+from .recognition import RecognitionCertificate, recognize
 
 ENUMERATION_GUARD = 12
 
@@ -135,14 +136,21 @@ _UPSILON = mycielski_grotzsch()[0]
 
 
 def census_row(g: Graph) -> CensusRow:
-    d = check_d(g, 4)
+    """Classify g; every check but recognition runs on one twin quotient.
+
+    That is exact: the covering verdicts of g are those of its quotient, and
+    both patterns are twin-free, so `find_induced` explains why each has a
+    copy in g iff it has one in the quotient.
+    """
+    _, q = quotient(g)
+    d = check_d(q, 4, direct=True)
     d2 = d.holds or d.level > 2
     d3 = d.holds or d.level > 3
-    q4 = check_q(g, 4).holds
+    q4 = check_q(q, 4, direct=True).holds
     outcome = recognize(g)
     recognized = outcome.family if isinstance(outcome, RecognitionCertificate) else None
-    induced_c6 = find_induced(g, _C6) is not None
-    contains_upsilon = find_induced(g, _UPSILON) is not None
+    induced_c6 = next(find_induced_all(q, _C6), None) is not None
+    contains_upsilon = next(find_induced_all(q, _UPSILON), None) is not None
     return CensusRow(
         graph=g,
         order=g.n,
@@ -305,21 +313,21 @@ def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
     if n > max_order:
         raise ResourceGuardError(f"extremal search capped at order {max_order}")
     k = -(-s // (3 * s - n))
-    templates: list[tuple[Graph, object]] = []
+    templates: list[Graph] = []
     for j in (k - 1, k, k + 1):
         if j >= 1 and 3 * j - 1 <= n:
-            templates.append((andrasfai(j), AndrasfaiId(j)))
+            templates.append(andrasfai(j))
     i = 2
     while 3 * i + 5 <= n:
         for mu in (0, 1):
             for nu in (0, 1):
                 if VegaId(i, mu, nu).order <= n:
-                    templates.append((vega(i, mu, nu)[0], VegaId(i, mu, nu)))
+                    templates.append(vega(i, mu, nu)[0])
         i += 1
     best = -1
     specs: list[BlowupSpec] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for template, _ident in templates:
+    for template in templates:
         value, weightings = _template_optimum(template, n, s)
         if value < best:
             continue

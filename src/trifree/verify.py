@@ -87,9 +87,8 @@ class ExtSet:
         return not self.vertices
 
 
-def ext_set(host: Graph, embedding, i: int) -> ExtSet:
-    """The extension set at outer index i of an 11-vertex pattern copy."""
-    e = embedding.map
+def ext_set(host: Graph, e: tuple[int, ...], i: int) -> ExtSet:
+    """The extension set at outer index i of the 11-vertex pattern copy e."""
     mask = host.adj[e[(i - 1) % 5]] & host.adj[e[(i + 1) % 5]] & host.adj[e[5 + i]]
     return ExtSet(i, tuple(_bits(mask)))
 
@@ -133,7 +132,7 @@ def _every_copy(pattern: Graph, assertion, hosts) -> tuple[bool, Optional[dict]]
     for name, host in hosts:
         part, q = quotient(host)
         for emb in find_induced_all(q, pattern):
-            bad = assertion(host, tuple(part.representatives[t] for t in emb.map))
+            bad = assertion(host, tuple(part.representatives[t] for t in emb))
             if bad is not None:
                 bad["member"] = name
                 return False, bad
@@ -338,7 +337,7 @@ def _twin_attach_member(template: Graph, forbidden: Optional[Graph],
     result = has_twin_property(host, template)
     if not result.holds:
         emb, qz, q2, z2 = result.counterexample
-        return _fail(host, embedding=list(emb.map), edge=list(qz), pair=[q2, z2],
+        return _fail(host, embedding=list(emb), edge=list(qz), pair=[q2, z2],
                      reason="twin property fails")
     starts = quotient(host)[0].representatives
     copy_mask = _mask_of(starts)
@@ -424,8 +423,8 @@ def _check_cayley_d2(k_max=4):
         verdict = check_d(g, 2)
         if verdict.holds or verdict.level != 2:
             return False, _fail(g, k=k, reason="level-2 violation expected")
-        if not validate_d_witness(g, 2, verdict.witness.weights):
-            return False, _fail(g, k=k, witness=list(verdict.witness.weights),
+        if not validate_d_witness(g, 2, verdict.witness):
+            return False, _fail(g, k=k, witness=list(verdict.witness),
                                 reason="witness failed re-validation")
         if find_induced(g, _C6) is None:
             return False, _fail(g, k=k, reason="no induced hexagon located")

@@ -177,18 +177,18 @@ def test_criterion_5_counterexample_fixtures():
         assert independence_number(f)[0] == 4
         verdict = check_d(f, 4)
         assert not verdict.holds
-        assert validate_d_witness(f, verdict.level, verdict.witness.weights)
+        assert validate_d_witness(f, verdict.level, verdict.witness)
         assert validate_d_witness(f, 4, (1,) * f.n)
 
         for k in range(1, 5):
             c = cayley_6k(k)
             verdict = check_d(c, 2)
             assert not verdict.holds and verdict.level == 2
-            assert validate_d_witness(c, 2, verdict.witness.weights)
+            assert validate_d_witness(c, 2, verdict.witness)
 
         result = recognize(petersen())
         assert result.kind == D4_FAILS
-        assert validate_d_witness(petersen(), result.level, result.witness.weights)
+        assert validate_d_witness(petersen(), result.level, result.witness)
 
 
 def test_criterion_6_extremal_spot_checks():
@@ -234,7 +234,7 @@ def test_criterion_8_property_suites():
             reduced = check_d(g, 3)
             assert direct.holds == reduced.holds
             if not reduced.holds:
-                assert validate_d_witness(g, reduced.level, reduced.witness.weights)
+                assert validate_d_witness(g, reduced.level, reduced.witness)
 
         for n in range(2, 10):  # D(4) implies Q(4) on the catalog
             for g in enumerate_maximal_tf(n):
@@ -245,10 +245,10 @@ def test_criterion_8_property_suites():
             g = random_graph(rng, rng.randint(3, 9))
             d = check_d(g, 4)
             if not d.holds:
-                assert validate_d_witness(g, d.level, d.witness.weights)
+                assert validate_d_witness(g, d.level, d.witness)
             q = check_q(g, 4)
             if not q.holds:
-                assert validate_q_witness(g, q.level, q.witness.weights)
+                assert validate_q_witness(g, q.level, q.witness)
 
         for _ in range(200):  # serialization round-trips
             g = random_graph(rng, rng.randint(1, 14))

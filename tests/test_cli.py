@@ -153,14 +153,25 @@ def test_extremal_formula_and_search():
 def test_exit_codes():
     assert run_cli(["census"]).returncode == 2                      # missing --n
     assert run_cli(["paper-verify", "--check", "bogus"]).returncode == 2
+    assert run_cli(["census", "--n", "3", "--format", "graph6"]).returncode == 2
     assert run_cli(["check", "--tf"], stdin="garbage\n").returncode == 3
     assert run_cli(["recognize"], stdin="p tf 1\n").returncode == 3  # too small
     assert run_cli(["census", "--n", "13"]).returncode == 3          # guard
     assert run_cli(["extremal", "--n", "10", "--s", "3"]).returncode == 3
+    capped = run_cli(["extremal", "--n", "32", "--s", "12", "--search"])  # above --max-order
+    assert capped.returncode == 3 and "Traceback" not in capped.stderr
     huge = run_cli(["check", "--tf"], stdin="p tf 100000000000000000000\n")
     assert huge.returncode == 3 and "Traceback" not in huge.stderr
     triangle = "p tf 3\ne 0 1\ne 0 2\ne 1 2\n"
     assert run_cli(["check", "--tf"], stdin=triangle).returncode == 1
+
+
+def test_failing_registry_check_exits_one(monkeypatch):
+    import trifree.verify as verify_module
+
+    monkeypatch.setitem(verify_module._REGISTRY, "automorphisms",
+                        lambda: (False, {"reason": "forced"}))
+    assert main(["paper-verify", "--check", "automorphisms", "--out", "/dev/null"]) == 1
 
 
 def test_deep_recursion_exits_as_input_error():

@@ -179,7 +179,7 @@ def test_auxiliary_paths_yield_induced_copies(i, mu, nu):
     pattern = mycielski_grotzsch()[0]
     for path in paths:
         emb = upsilon_of_path(i, mu, nu, path)
-        copy = induced_subgraph(g, list(emb.map))
+        copy = induced_subgraph(g, list(emb))
         assert isomorphic(copy, pattern) is not None
 
 

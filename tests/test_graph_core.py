@@ -116,7 +116,7 @@ def test_find_induced_reports_real_copies():
     pet = petersen()
     emb = find_induced(pet, cycle(5))
     assert emb is not None
-    copy = induced_subgraph(pet, list(emb.map))
+    copy = induced_subgraph(pet, list(emb))
     assert isomorphic(copy, cycle(5)) is not None
     assert find_induced(pet, complete(3)) is None
     assert find_induced(pet, cycle(4)) is None  # girth 5
@@ -146,7 +146,7 @@ def test_find_induced_on_quotient_matches_direct_search():
             assert find_induced(host, pattern) == next(find_induced_all(host, pattern), None)
         emb = find_induced(host, base)
         reps = twin_partition(host).representatives
-        assert emb is not None and set(emb.map) <= set(reps)
+        assert emb is not None and set(emb) <= set(reps)
 
 
 def test_twin_classes_are_independent_and_modular():
@@ -269,8 +269,8 @@ def test_h_twins_and_twin_property():
     host = blowup(BlowupSpec(c5, (2, 1, 1, 1, 1)))
     emb = find_induced(host, c5)
     assert emb is not None
-    twins = h_twins(host, emb, emb.map[0])
-    assert len(twins) >= 1 and emb.map[0] in twins
+    twins = h_twins(host, emb, emb[0])
+    assert len(twins) >= 1 and emb[0] in twins
     assert has_twin_property(host, c5).holds
     # adjacent copy endpoints whose twins are non-adjacent: C6 against K2
     result = has_twin_property(cycle(6), complete(2))
@@ -282,6 +282,6 @@ def test_h_twins_and_twin_property():
 def test_h_twins_requires_copy_vertex():
     c5 = cycle(5)
     emb = find_induced(c5, path(3))
-    outside = next(v for v in range(5) if v not in emb.map)
+    outside = next(v for v in range(5) if v not in emb)
     with pytest.raises(ValueError):
         h_twins(c5, emb, outside)

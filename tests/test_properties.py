@@ -18,7 +18,6 @@ from conftest import (
 from trifree.families import andrasfai, cayley_6k, fig41, haggkvist_spec, vega
 from trifree.graph import BlowupSpec, Graph, blowup, from_edge_list, quotient
 from trifree.properties import (
-    WeightVector,
     check_d,
     check_q,
     degree_profile,
@@ -40,13 +39,6 @@ def cycle(n):
 
 def triangle_plus_isolated():
     return from_edge_list(4, [(0, 1), (0, 2), (1, 2)])
-
-
-def test_weight_vector_contract():
-    w = WeightVector((0, 2, 1))
-    assert w.total == 3 and w.support == (1, 2)
-    with pytest.raises(ValueError):
-        WeightVector((1, -1, 3))
 
 
 def test_triangle_detection_is_lexicographic():
@@ -106,7 +98,7 @@ def test_check_d_matches_brute_force():
         assert verdict.holds == (level is None)
         if not verdict.holds:
             assert verdict.level == level
-            assert validate_d_witness(g, verdict.level, verdict.witness.weights)
+            assert validate_d_witness(g, verdict.level, verdict.witness)
 
 
 def test_check_d_known_graphs():
@@ -116,7 +108,7 @@ def test_check_d_known_graphs():
     assert check_d(cycle(5), 4).holds
     fig = check_d(fig41(), 4)
     assert not fig.holds
-    assert validate_d_witness(fig41(), fig.level, fig.witness.weights)
+    assert validate_d_witness(fig41(), fig.level, fig.witness)
     assert validate_d_witness(fig41(), 4, (1,) * 12)  # the all-ones witness
 
 
@@ -125,7 +117,7 @@ def test_check_q_known_graphs():
     assert check_q(vega(2, 0, 0)[0], 4).holds
     fig = check_q(fig41(), 4)
     assert not fig.holds
-    assert validate_q_witness(fig41(), fig.level, fig.witness.weights)
+    assert validate_q_witness(fig41(), fig.level, fig.witness)
     assert validate_q_witness(fig41(), 4, (1,) * 12)
 
 
@@ -141,7 +133,7 @@ def test_check_q_witness_with_triangles_matches_brute_force():
             continue
         verdict = check_q(g, 2)
         assert not verdict.holds and verdict.level == 1
-        assert verdict.witness.weights == brute_force_q1(g)
+        assert verdict.witness == brute_force_q1(g)
         tested += 1
 
 
@@ -149,10 +141,10 @@ def test_isolated_vertices_defeat_both_properties():
     g = triangle_plus_isolated()
     d = check_d(g, 4)
     assert not d.holds and d.level == 1
-    assert validate_d_witness(g, 1, d.witness.weights)
+    assert validate_d_witness(g, 1, d.witness)
     q = check_q(g, 4)
     assert not q.holds and q.level == 1
-    assert validate_q_witness(g, 1, q.witness.weights)
+    assert validate_q_witness(g, 1, q.witness)
 
 
 def test_blowup_invariance_of_level_three():
@@ -184,8 +176,8 @@ def test_direct_and_reduced_searches_agree():
             assert reduced.holds == direct.holds
             if not reduced.holds:
                 assert reduced.level == direct.level
-                assert validate_d_witness(big, reduced.level, reduced.witness.weights)
-                assert validate_d_witness(big, direct.level, direct.witness.weights)
+                assert validate_d_witness(big, reduced.level, reduced.witness)
+                assert validate_d_witness(big, direct.level, direct.witness)
 
 
 def test_d_implies_q_on_small_catalog():
@@ -222,7 +214,7 @@ def test_witnesses_revalidate_everywhere():
                                    (check_q, validate_q_witness)):
             verdict = checker(g, 2)
             if not verdict.holds:
-                assert validator(g, verdict.level, verdict.witness.weights)
+                assert validator(g, verdict.level, verdict.witness)
 
 
 def test_validators_reject_non_witnesses():
@@ -231,12 +223,25 @@ def test_validators_reject_non_witnesses():
         if sum(weights) == 3:
             assert not validate_d_witness(g, 1, weights)
             assert not validate_q_witness(g, 1, weights)
+    # Petersen with vertex 0 doubled (twins 0 and 1) fails both at level 2.
+    # Each variant of its witness keeps every load and independent weight
+    # within bounds, so only the shape check can reject it.
+    host = blowup(BlowupSpec(petersen(), (2,) + (1,) * 9))
+    witness = check_d(host, 2).witness
+    assert witness == (0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1)
+    negative = (1, -1) + witness[2:]      # twin 1 at -1, vertex 0 at +1
+    too_long = witness + (0,)
+    short_total = (0,) * 5 + witness[5:]  # total 5, not 6
+    for validator in (validate_d_witness, validate_q_witness):
+        assert validator(host, 2, witness)
+        for bad in (negative, too_long, short_total):
+            assert not validator(host, 2, bad)
 
 
 def test_petersen_fails_at_level_two():
     verdict = check_d(petersen(), 4)
     assert not verdict.holds and verdict.level == 2
-    assert validate_d_witness(petersen(), 2, verdict.witness.weights)
+    assert validate_d_witness(petersen(), 2, verdict.witness)
 
 
 def test_in_class_membership():

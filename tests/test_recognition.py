@@ -124,7 +124,7 @@ def test_refutation_covering_failure_with_witness():
     assert isinstance(outcome, Refutation)
     assert outcome.kind == D4_FAILS
     assert outcome.level == 2
-    assert validate_d_witness(petersen(), outcome.level, outcome.witness.weights)
+    assert validate_d_witness(petersen(), outcome.level, outcome.witness)
 
 
 def test_recognize_rejects_trivial_orders():
@@ -164,7 +164,7 @@ def test_completeness_against_level_four_census():
                 assert isinstance(outcome, Refutation)
                 assert outcome.kind == D4_FAILS
                 assert outcome.kind != INCONSISTENT
-                assert validate_d_witness(g, outcome.level, outcome.witness.weights)
+                assert validate_d_witness(g, outcome.level, outcome.witness)
 
 
 def test_hexagon_free_members_are_circulant_blowups():

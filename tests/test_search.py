@@ -142,6 +142,36 @@ def test_census_row_classifies_eleven_vertex_member():
     assert row.induced_c6 and row.contains_upsilon
 
 
+def test_census_row_takes_one_quotient_beyond_recognition(monkeypatch):
+    import trifree.graph as graph_module
+    import trifree.properties as properties_module
+    import trifree.recognition as recognition_module
+    from trifree.families import fig41, vega
+
+    calls = 0
+    original = graph_module.quotient
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    for module in (graph_module, properties_module, recognition_module, search_module):
+        monkeypatch.setattr(module, "quotient", counted)
+    rows = [
+        blowup(BlowupSpec(andrasfai(2), (2, 1, 3, 1, 1))),
+        blowup(BlowupSpec(vega(2, 1, 1)[0], (1, 2) * 5 + (2,))),
+        fig41(),  # fails level 2, so recognition runs the covering check
+    ]
+    for g in rows:
+        calls = 0
+        recognition_module.recognize(g)
+        alone = calls
+        calls = 0
+        census_row(g)
+        assert calls == alone + 1
+
+
 def test_check_census_row_flags_doctored_rows():
     genuine = census_row(andrasfai(2))
     doctored = CensusRow(

@@ -95,8 +95,8 @@ def test_ext_sets_are_inside_the_missing_neighborhood():
             for outer in range(5):
                 ext = ext_set(host, emb, outer)
                 for q in ext.vertices:
-                    assert host.has_edge(q, emb.map[(outer - 1) % 5])
-                    assert host.has_edge(q, emb.map[(outer + 1) % 5])
-                    assert host.has_edge(q, emb.map[5 + outer])
-                    assert host.has_edge(q, emb.map[outer])  # the lemma's content
+                    assert host.has_edge(q, emb[(outer - 1) % 5])
+                    assert host.has_edge(q, emb[(outer + 1) % 5])
+                    assert host.has_edge(q, emb[5 + outer])
+                    assert host.has_edge(q, emb[outer])  # the lemma's content
                 assert ext.reliable == (not ext.vertices)

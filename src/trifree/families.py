@@ -375,19 +375,36 @@ def named_maps(i: int, mu: int, nu: int) -> list[NamedMap]:
 
 @dataclass(frozen=True)
 class AuxPath:
-    """A length-3 inner path whose endpoints share a colour class."""
+    """A length-3 inner path whose endpoints share a colour class.
+
+    ``copy`` is the induced 11-vertex pattern copy the path determines, as
+    the host image of each pattern vertex.
+    """
 
     labels: tuple[int, int, int, int]
     positions: tuple[int, int, int, int]
     colour: str
+    copy: tuple[int, ...]
+
+
+_FIRST = {"red": "a", "green": "b", "blue": "c"}
+_SECOND = {"red": "u", "green": "v", "blue": "w"}
 
 
 def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
     """Every monochromatic-endpoint path of length three in the inner circulant.
 
-    Reversals are identified (the lower endpoint label comes first).
+    Reversals are identified (the lower endpoint label comes first).  The
+    member and the pattern are built once.  Each path's copy uses the path,
+    x, and the six hexagon vertices, wired by the colours of the path
+    entries, and is re-checked to be induced; a failure raises
+    InternalConsistencyError naming the path's labels.  The re-check also
+    forces the map to be injective: two pattern vertices with one image pass
+    it only if they are non-adjacent, and the pattern is twin-free, so some
+    third pattern vertex is adjacent to just one of them, a pair it rejects.
     """
-    _, lab = vega(i, mu, nu)
+    graph, lab = vega(i, mu, nu)
+    pattern = mycielski_grotzsch()[0]
     ninner = 3 * i - 1
     alive = [j for j in range(ninner) if lab.inner_map[j] >= 0]
     adj = {
@@ -397,7 +414,7 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
         ]
         for j in alive
     }
-    out = []
+    quads = []
     for p0 in alive:
         for p1 in adj[p0]:
             for p2 in adj[p1]:
@@ -406,62 +423,27 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
                 for p3 in adj[p2]:
                     if p3 in (p0, p1, p2) or p3 < p0:
                         continue
-                    if lab.colour_of_label(p0) != lab.colour_of_label(p3):
-                        continue
-                    quad = (p0, p1, p2, p3)
-                    out.append(
-                        AuxPath(
-                            labels=quad,
-                            positions=tuple(lab.inner_map[q] for q in quad),
-                            colour=lab.colour_of_label(p0),
-                        )
-                    )
-    out.sort(key=lambda p: p.labels)
-    return out
-
-
-_FIRST = {"red": "a", "green": "b", "blue": "c"}
-_SECOND = {"red": "u", "green": "v", "blue": "w"}
-
-
-def upsilon_of_path(i: int, mu: int, nu: int, pi: AuxPath) -> tuple[int, ...]:
-    """The induced 11-vertex pattern copy determined by an auxiliary path.
-
-    The copy uses the path, x, and the six hexagon vertices, wired by the
-    colours of the path entries; it is returned as the host image of each
-    pattern vertex, after a re-check that it is induced.  The re-check also
-    forces the map to be injective: two pattern vertices with one image pass
-    it only if they are non-adjacent, and the pattern is twin-free, so some
-    third pattern vertex is adjacent to just one of them, a pair it rejects.
-    """
-    graph, lab = vega(i, mu, nu)
-    if pi not in aux_paths(i, mu, nu):
-        raise ValueError("not an auxiliary path of this family member")
-    pattern, up = mycielski_grotzsch()
-    phi = pi.colour
-    chi1 = lab.colour_of_label(pi.labels[1])
-    chi2 = lab.colour_of_label(pi.labels[2])
+                    if lab.colour_of_label(p0) == lab.colour_of_label(p3):
+                        quads.append((p0, p1, p2, p3))
     pos = {name: getattr(lab, name) for name in ("a", "b", "c", "u", "v", "w", "x")}
-    p0, p1, p2, p3 = pi.positions
-    images = [0] * 11
-    images[up.a[0]] = pos[_SECOND[chi1]]
-    images[up.a[1]] = p0
-    images[up.a[2]] = p3
-    images[up.a[3]] = pos[_SECOND[chi2]]
-    images[up.a[4]] = pos["x"]
-    images[up.b[0]] = p2
-    images[up.b[1]] = pos[_FIRST[chi1]]
-    images[up.b[2]] = pos[_FIRST[chi2]]
-    images[up.b[3]] = p1
-    images[up.b[4]] = pos[_SECOND[phi]]
-    images[up.c] = pos[_FIRST[phi]]
-    for s in range(11):
-        for t in range(s + 1, 11):
-            if pattern.has_edge(s, t) != graph.has_edge(images[s], images[t]):
-                raise InternalConsistencyError(
-                    f"path copy is not induced at pattern pair ({s}, {t})"
-                )
-    return tuple(images)
+    out = []
+    for quad in sorted(quads):
+        phi, chi1, chi2 = (lab.colour_of_label(q) for q in quad[:3])
+        positions = tuple(lab.inner_map[q] for q in quad)
+        p0, p1, p2, p3 = positions
+        images = (  # of a_0..a_4, b_0..b_4, c
+            pos[_SECOND[chi1]], p0, p3, pos[_SECOND[chi2]], pos["x"],
+            p2, pos[_FIRST[chi1]], pos[_FIRST[chi2]], p1, pos[_SECOND[phi]],
+            pos[_FIRST[phi]],
+        )
+        for s in range(11):
+            for t in range(s + 1, 11):
+                if pattern.has_edge(s, t) != graph.has_edge(images[s], images[t]):
+                    raise InternalConsistencyError(
+                        f"copy of path {list(quad)} is not induced at pattern pair ({s}, {t})"
+                    )
+        out.append(AuxPath(quad, positions, phi, images))
+    return out
 
 
 # -- extremal edge-count formula ----------------------------------------

@@ -490,25 +490,30 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
     yield from place(0, 0)
 
 
-def find_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
-    """The first induced embedding of pattern in host, or None.
+def induced_copies(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+    """The `find_induced_all` stream of host, less copies off class representatives.
 
-    A twin-free pattern is searched in the twin quotient of host and the
-    result lifted through the class representatives.  The reduction is
-    exact: two twins of host inside a copy would be twins of the copy, so
-    every copy of a twin-free pattern uses distinct classes.  The lift is
-    the embedding `find_induced_all` yields first: moving each vertex of a
-    copy to its class's least member gives a copy with no larger
-    coordinate, so the lexicographically first copy uses representatives
-    only, and representatives keep their order in the quotient.
+    A pattern with twins keeps every copy.  A twin-free one is searched in
+    the twin quotient and lifted; that is exact, because a copy holding two
+    twins of host would hold two twins of the pattern, so moving each copy
+    vertex to its class's least member gives a copy with no larger
+    coordinate, and representatives keep their order in the quotient.
     """
     if len(twin_partition(pattern).classes) < pattern.n:
-        return next(find_induced_all(host, pattern), None)
+        yield from find_induced_all(host, pattern)
+        return
     p, q = quotient(host)
-    emb = next(find_induced_all(q, pattern), None)
-    if emb is None:
-        return None
-    return tuple(p.representatives[v] for v in emb)
+    for emb in find_induced_all(q, pattern):
+        yield tuple(p.representatives[v] for v in emb)
+
+
+def find_induced(host: Graph, pattern: Graph) -> Optional[tuple[int, ...]]:
+    """The first copy `find_induced_all` yields, or None.
+
+    Moved onto class representatives it would come no later, so it is also
+    the first copy of `induced_copies`.
+    """
+    return next(induced_copies(host, pattern), None)
 
 
 # -- twins relative to a subgraph copy ----------------------------------
@@ -540,17 +545,18 @@ def has_twin_property(
 
     For every induced copy H of f in g and every copy edge qz corresponding
     to `e` (or to any edge when `e` is None), every H-twin of q must be
-    adjacent to every H-twin of z.  On failure the offending copy, edge and
-    twin pair are returned.
+    adjacent to every H-twin of z.  On failure the first offending copy in
+    the `find_induced_all(g, f)` order, its edge and a twin pair are
+    returned.  Walking only the copies of `induced_copies` gives the same
+    verdict and counterexample: replacing copy vertices by their twins
+    leaves every H-twin set unchanged, so a failing copy moved onto class
+    representatives still fails, with the same twin pair, and comes no later.
     """
     if e is not None and not f.has_edge(*e):
         raise ValueError(f"{e} is not an edge of the pattern")
     seen: set[tuple[int, frozenset[int]]] = set()
-    for emb in find_induced_all(g, f):
-        if e is None:
-            pairs = [(emb[u], emb[v]) for u, v in f.edges()]
-        else:
-            pairs = [(emb[e[0]], emb[e[1]])]
+    for emb in induced_copies(g, f):
+        pairs = [(emb[u], emb[v]) for u, v in (f.edges() if e is None else [e])]
         hmask = _mask_of(emb)
         for qz in pairs:
             key = (hmask, frozenset(qz))
@@ -558,11 +564,9 @@ def has_twin_property(
                 continue
             seen.add(key)
             q, z = qz
-            tq = h_twins(g, emb, q)
             tz_mask = _mask_of(h_twins(g, emb, z))
-            for q2 in tq:
+            for q2 in h_twins(g, emb, q):
                 missing = tz_mask & ~g.adj[q2]
                 if missing:
-                    z2 = next(_bits(missing))
-                    return TwinPropertyResult(False, (emb, qz, q2, z2))
+                    return TwinPropertyResult(False, (emb, qz, q2, next(_bits(missing))))
     return TwinPropertyResult(True)

@@ -27,6 +27,7 @@ from .families import (
 from .graph import (
     BlowupSpec,
     Graph,
+    TwinPartition,
     blowup,
     isomorphic,
     quotient,
@@ -93,6 +94,27 @@ def _candidates(order: int):
     return out
 
 
+def match_template(
+    partition: TwinPartition, omega: Graph
+) -> Optional[RecognitionCertificate]:
+    """The certificate of the template isomorphic to omega, or None.
+
+    For (partition, omega) = quotient(g), a match makes g a blow-up of a
+    maximal triangle-free, twin-free template without isolated vertices,
+    hence maximal triangle-free, and `recognize(g)` returns this certificate.
+    """
+    for family in _candidates(omega.n):
+        template = template_graph(family)
+        perm = isomorphic(omega, template)
+        if perm is None:
+            continue
+        weights = [0] * template.n
+        for cls_index, members in enumerate(partition.classes):
+            weights[perm.map[cls_index]] = len(members)
+        return RecognitionCertificate(family, perm.map, tuple(weights))
+    return None
+
+
 def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
     """Certificate that g is a template blow-up, or an explicit refutation.
 
@@ -110,15 +132,9 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
             missing_pair=maximality.missing_pair,
         )
     partition, omega = quotient(g)
-    for family in _candidates(omega.n):
-        template = template_graph(family)
-        perm = isomorphic(omega, template)
-        if perm is None:
-            continue
-        weights = [0] * template.n
-        for cls_index, members in enumerate(partition.classes):
-            weights[perm.map[cls_index]] = len(members)
-        return RecognitionCertificate(family, perm.map, tuple(weights))
+    certificate = match_template(partition, omega)
+    if certificate is not None:
+        return certificate
     verdict = check_d(g, 4)
     if verdict.holds:
         return Refutation(

@@ -38,7 +38,7 @@ from .properties import (
     independence_number,
     is_triangle_free,
 )
-from .recognition import RecognitionCertificate, recognize
+from .recognition import match_template
 
 ENUMERATION_GUARD = 12
 
@@ -136,19 +136,20 @@ _UPSILON = mycielski_grotzsch()[0]
 
 
 def census_row(g: Graph) -> CensusRow:
-    """Classify g; every check but recognition runs on one twin quotient.
+    """Classify g; every check runs on one twin quotient.
 
-    That is exact: the covering verdicts of g are those of its quotient, and
-    both patterns are twin-free, so `find_induced` explains why each has a
-    copy in g iff it has one in the quotient.
+    That is exact: the covering verdicts of g are those of its quotient;
+    both patterns are twin-free, so `induced_copies` explains why each has a
+    copy in g iff it has one in the quotient; and `match_template` gives the
+    certificate `recognize(g)` would.
     """
-    _, q = quotient(g)
+    partition, q = quotient(g)
     d = check_d(q, 4, direct=True)
     d2 = d.holds or d.level > 2
     d3 = d.holds or d.level > 3
     q4 = check_q(q, 4, direct=True).holds
-    outcome = recognize(g)
-    recognized = outcome.family if isinstance(outcome, RecognitionCertificate) else None
+    certificate = match_template(partition, q)
+    recognized = certificate.family if certificate is not None else None
     induced_c6 = next(find_induced_all(q, _C6), None) is not None
     contains_upsilon = next(find_induced_all(q, _UPSILON), None) is not None
     return CensusRow(
@@ -200,8 +201,9 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs up to max_n vertices where the
     level-3 covering property holds but level 4 fails.
 
-    Hits are re-validated by direct (non-quotient) searches before being
-    reported; completeness over the searched range is the contract, not
+    Hits are re-validated by one direct (non-quotient) level-4 search before
+    being reported; it returns the first failing level, so it decides level
+    3 too.  Completeness over the searched range is the contract, not
     existence of a hit.  A max_n above the guard is refused before any
     order is enumerated.
     """
@@ -211,9 +213,8 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
         for g in enumerate_maximal_tf(n, allow_large):
             verdict = check_d(g, 4)
             if not verdict.holds and verdict.level == 4:
-                direct3 = check_d(g, 3, direct=True)
-                direct4 = check_d(g, 4, direct=True)
-                if direct3.holds and not direct4.holds:
+                direct = check_d(g, 4, direct=True)
+                if not direct.holds and direct.level == 4:
                     hits.append(g)
     return hits
 

@@ -13,13 +13,45 @@ import random
 
 import networkx as nx
 
-from trifree.graph import Graph, from_edge_list
+from trifree.graph import (
+    Graph,
+    TwinPropertyResult,
+    _bits,
+    _mask_of,
+    find_induced_all,
+    from_edge_list,
+    h_twins,
+)
 from trifree.properties import validate_q_witness
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def twin_property_oracle(g: Graph, f: Graph, e=None) -> TwinPropertyResult:
+    """The copy-twin property walked over every induced copy of f in g.
+
+    The reference for `graph.has_twin_property`, which walks the copies on
+    class representatives only; both must give the same result.
+    """
+    seen = set()
+    for emb in find_induced_all(g, f):
+        pairs = [(emb[u], emb[v]) for u, v in (f.edges() if e is None else [e])]
+        hmask = _mask_of(emb)
+        for qz in pairs:
+            key = (hmask, frozenset(qz))
+            if key in seen:
+                continue
+            seen.add(key)
+            q, z = qz
+            tz_mask = _mask_of(h_twins(g, emb, z))
+            for q2 in h_twins(g, emb, q):
+                missing = tz_mask & ~g.adj[q2]
+                if missing:
+                    return TwinPropertyResult(False, (emb, qz, q2, next(_bits(missing))))
+    return TwinPropertyResult(True)
 
 
 def to_nx(g: Graph) -> nx.Graph:

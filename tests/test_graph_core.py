@@ -7,7 +7,7 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import petersen, random_graph, to_nx
+from conftest import petersen, random_graph, to_nx, twin_property_oracle
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from trifree import families
@@ -277,6 +277,26 @@ def test_h_twins_and_twin_property():
     assert not result.holds
     emb, edge, q2, z2 = result.counterexample
     assert not cycle(6).has_edge(q2, z2)
+
+
+def test_twin_property_on_representatives_matches_every_copy():
+    rng = random.Random(43)
+    patterns = [complete(2), cycle(5), path(4), path(3)]
+    failures = 0
+    for _ in range(500):
+        base = random_graph(rng, rng.randint(3, 7), 0.45)
+        weights = tuple(rng.randint(1, 3) for _ in range(base.n))
+        host = blowup(BlowupSpec(base, weights))
+        shuffled = list(range(host.n))
+        rng.shuffle(shuffled)
+        host = relabel(host, Permutation(tuple(shuffled)))
+        for pattern in patterns:
+            edges = list(pattern.edges())
+            for e in (None, rng.choice(edges)):
+                result = has_twin_property(host, pattern, e)
+                assert result == twin_property_oracle(host, pattern, e), (host.adj, e)
+                failures += not result.holds
+    assert failures > 0
 
 
 def test_h_twins_requires_copy_vertex():

@@ -142,34 +142,47 @@ def test_census_row_classifies_eleven_vertex_member():
     assert row.induced_c6 and row.contains_upsilon
 
 
-def test_census_row_takes_one_quotient_beyond_recognition(monkeypatch):
+def test_census_row_takes_no_quotient_beyond_recognition(monkeypatch):
     import trifree.graph as graph_module
     import trifree.properties as properties_module
     import trifree.recognition as recognition_module
     from trifree.families import fig41, vega
 
     calls = 0
+    searches = 0
     original = graph_module.quotient
+    original_search = properties_module._coverage_search
 
     def counted(g):
         nonlocal calls
         calls += 1
         return original(g)
 
+    def counted_search(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return original_search(*args, **kwargs)
+
     for module in (graph_module, properties_module, recognition_module, search_module):
         monkeypatch.setattr(module, "quotient", counted)
-    rows = [
+    monkeypatch.setattr(properties_module, "_coverage_search", counted_search)
+    blowups = [
         blowup(BlowupSpec(andrasfai(2), (2, 1, 3, 1, 1))),
         blowup(BlowupSpec(vega(2, 1, 1)[0], (1, 2) * 5 + (2,))),
-        fig41(),  # fails level 2, so recognition runs the covering check
     ]
-    for g in rows:
+    for g in blowups:
         calls = 0
         recognition_module.recognize(g)
-        alone = calls
+        assert calls == 3
         calls = 0
         census_row(g)
-        assert calls == alone + 1
+        assert calls == 3
+    # fig41 fails level 2; recognition would run the covering search again
+    calls = searches = 0
+    row = census_row(fig41())
+    assert row.recognized is None and not row.d2
+    assert calls == 1
+    assert searches == 4  # D(1), D(2), Q(1), Q(2)
 
 
 def test_check_census_row_flags_doctored_rows():

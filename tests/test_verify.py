@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import inspect
+import json
+
 import pytest
 
-from trifree.families import mycielski_grotzsch, vega
+import trifree.families as families_module
+import trifree.graph as graph_module
+import trifree.verify as verify_module
+from trifree.cli import main
+from trifree.families import aux_paths, mycielski_grotzsch, vega
 from trifree.formats import parse_elist
-from trifree.graph import find_induced_all
+from trifree.graph import Graph, find_induced_all, twin_partition
 from trifree.verify import (
     SEEDS,
+    _REGISTRY,
     _nine_vertex_assert,
     check_names,
     ext_set,
@@ -32,18 +40,74 @@ def test_unknown_check_name():
         run_check("nonexistent")
 
 
-def test_reports_carry_seeds_and_parameters():
-    report = run_check("degree_table", i_max=4)
+def test_reports_carry_seeds_and_parameters(tmp_path):
+    report = run_check("degree_table")
     assert report.name == "degree_table"
-    assert report.parameters == {"i_max": 4}
     assert report.passed and report.counterexample is None
     assert report.seed is None  # deterministic check
-    seeded = run_check("no_small_neighborhood", i_max=2, per_member=2)
+    seeded = run_check("no_small_neighborhood")
     assert seeded.seed == SEEDS["no_small_neighborhood"]
+    # the catalog is fixed, and the report keeps its empty parameter map
+    out = tmp_path / "report.json"
+    assert main(["paper-verify", "--check", "degree_table", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["parameters"] == {}
+
+
+def test_registry_takes_no_knobs():
+    for name, check in _REGISTRY.items():
+        assert not inspect.signature(check).parameters, name
+    assert list(inspect.signature(run_check).parameters) == ["name"]
+
+
+def test_aux_embeddings_builds_each_member_once(monkeypatch):
+    calls = 0
+    original = families_module.vega
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(families_module, "vega", counted)
+    monkeypatch.setattr(verify_module, "vega", counted)
+    assert run_check("aux_embeddings").passed
+    assert calls == 16  # i = 2..5, mu and nu in {0, 1}
+
+
+def test_aux_embeddings_failure_names_the_path(monkeypatch):
+    first = aux_paths(2, 0, 0)[0].labels
+    pattern, labeling = mycielski_grotzsch()
+    u, v = next(pattern.edges())
+    rows = list(pattern.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    # with one pattern edge gone, no path's copy is induced
+    monkeypatch.setattr(families_module, "mycielski_grotzsch",
+                        lambda: (Graph(11, rows), labeling))
+    report = run_check("aux_embeddings")
+    assert not report.passed
+    counterexample = report.counterexample
+    assert (counterexample["i"], counterexample["mu"], counterexample["nu"]) == (2, 0, 0)
+    assert str(list(first)) in counterexample["reason"]
+
+
+def test_twin_attach_checks_search_twin_free_hosts(monkeypatch):
+    hosts = []
+    original = graph_module.find_induced_all
+
+    def recorded(host, pattern):
+        hosts.append(host)
+        return original(host, pattern)
+
+    monkeypatch.setattr(graph_module, "find_induced_all", recorded)
+    assert run_check("gamma_twin_attach").passed
+    assert run_check("vega_twin_attach").passed
+    assert hosts
+    assert all(len(twin_partition(h).classes) == h.n for h in hosts)
 
 
 def test_deletion_pair_check_details():
-    report = run_check("c310", i_values=(2,))
+    report = run_check("c310")
     assert report.passed
     pairs = report.details["pairs"]["2"]
     # the defining deletion pair: the last red-adjacent inner vertex with
@@ -68,7 +132,7 @@ def test_edge_identity_details():
 
 def test_kappa_and_cayley_checks():
     assert run_check("kappa_blowup").passed
-    assert run_check("cayley_d2", k_max=2).passed
+    assert run_check("cayley_d2").passed
 
 
 def test_failure_payload_revalidates():

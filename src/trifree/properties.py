@@ -8,13 +8,22 @@ weight m+1 inside a single neighbourhood (on triangle-free graphs every
 neighbourhood is independent, so such a weighting refutes both).  Searches
 canonicalize multisets as weight vectors and walk vertices in a fixed order,
 so results are deterministic.
+
+Holding verdicts are proved for every level at once by an integer dual
+(Y, D) of max{sum w : every bounded neighbourhood load <= 1, w >= 0}: a
+level-m witness scaled by 1/m is feasible with value 3, and weak duality
+gives sum w / m <= sum Y / D < 3.  Every vertex is bounded for the plain
+property, each vertex with an independent neighbourhood for the variant.
+When n >= 3 * (largest bounded degree), w = 1/that degree reaches 3, so no
+dual exists and the simplex is skipped.  Refutations come from the DFS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from .families import InternalConsistencyError
 from .graph import Graph, _bits, quotient
 
 
@@ -22,12 +31,15 @@ from .graph import Graph, _bits, quotient
 class Verdict:
     """Outcome of a covering check: the level reached and any refutation.
 
-    The witness is the refuting weighting, one multiplicity per vertex.
+    The witness is the refuting weighting, one multiplicity per vertex.  A
+    holding verdict proved by the LP carries its integer dual ``(Y, D)``,
+    which `validate_covering_certificate` re-checks.
     """
 
     holds: bool
     level: int
     witness: Optional[tuple[int, ...]]
+    certificate: Optional[tuple[tuple[int, ...], int]] = None
 
 
 @dataclass(frozen=True)
@@ -243,16 +255,71 @@ def _certificate_free(g: Graph, m: int, weights) -> bool:
     return True
 
 
+def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Integer dual (Y, D) of max{sum w : A w <= 1, w >= 0} if its value is below 3.
+
+    A's rows are the neighbourhoods of ``rows``.  Fraction-free simplex from
+    the slack basis: rows stay integral over D, the last pivot; Bland's rule
+    cannot cycle.  None once a basis reaches 3 or a column is unbounded.
+    """
+    n, r = g.n, len(rows)
+    tab = [[g.adj[y] >> v & 1 for v in range(n)] + [int(i == j) for j in range(r)] + [1]
+           for i, y in enumerate(rows)]
+    obj, basis, d = [-1] * n + [0] * (r + 1), list(range(n, n + r)), 1
+    while obj[-1] < 3 * d:
+        col = next((j for j in range(n + r) if obj[j] < 0), None)
+        if col is None:
+            dual = dict(zip(rows, obj[n:-1]))
+            return tuple(dual.get(y, 0) for y in range(n)), d
+        best = None
+        for i, row in enumerate(tab):
+            if row[col] > 0 and (best is None or (row[-1] * tab[best][col], basis[i])
+                                 < (tab[best][-1] * row[col], basis[best])):
+                best = i
+        if best is None:
+            return None
+        prow, p = tab[best], tab[best][col]
+        for row in tab + [obj]:
+            if row is not prow:
+                f = row[col]
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        basis[best], d = col, p
+    return None
+
+
+def _decide(g: Graph, k: int, bounded, search) -> Verdict:
+    """A re-checked dual certificate for every level, else the level search."""
+    rows = [y for y in range(g.n) if bounded[y]]
+    if g.n < 3 * max((g.degree(y) for y in rows), default=0):
+        certificate = _simplex_dual(g, rows)
+        if certificate is not None:
+            if not validate_covering_certificate(g, bounded, *certificate):
+                raise InternalConsistencyError("covering certificate failed re-validation")
+            return Verdict(True, k, None, certificate)
+    for m in range(1, k + 1):
+        witness = search(m)
+        if witness is not None:
+            return Verdict(False, m, witness)
+    return Verdict(True, k, None)
+
+
 def _on_quotient(g: Graph, run) -> Verdict:
-    """Run a witness search on the twin quotient and lift any witness back."""
+    """Run a check on the twin quotient; lift a witness or certificate onto
+    the class representatives, 0 elsewhere.  A vertex's neighbourhood holds
+    the representatives of its quotient neighbours, so sums are unchanged."""
     partition, q = quotient(g)
     verdict = run(q)
-    if verdict.witness is None:
-        return verdict
-    lifted = [0] * g.n
-    for rep, weight in zip(partition.representatives, verdict.witness):
-        lifted[rep] = weight
-    return Verdict(False, verdict.level, tuple(lifted))
+
+    def lift(values):
+        on_rep = dict(zip(partition.representatives, values))
+        return tuple(on_rep.get(v, 0) for v in range(g.n))
+
+    if verdict.witness is not None:
+        return replace(verdict, witness=lift(verdict.witness))
+    if verdict.certificate is not None:
+        y, d = verdict.certificate
+        return replace(verdict, certificate=(lift(y), d))
+    return verdict
 
 
 def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
@@ -261,18 +328,16 @@ def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
     For each m = 1..k every weighting of total 3m must put weight at least
     m+1 on the open neighbourhood of some vertex; the first refuting
     weighting (in search order) is returned as the witness.  Runs on the
-    twin quotient unless ``direct`` is set; levels are checked in increasing
-    order.
+    twin quotient unless ``direct`` is set.  With every vertex bounded, a
+    dual certificate (see the module docstring) proves all levels at once;
+    otherwise levels are searched in increasing order.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if not direct:
         return _on_quotient(g, lambda h: check_d(h, k, direct=True))
-    for m in range(1, k + 1):
-        witness = _coverage_search(g, m, [m] * g.n, lambda _: True)
-        if witness is not None:
-            return Verdict(False, m, witness)
-    return Verdict(True, k, None)
+    return _decide(g, k, [True] * g.n,
+                   lambda m: _coverage_search(g, m, [m] * g.n, lambda _: True))
 
 
 def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
@@ -282,21 +347,18 @@ def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
     and none of weight m+1 with a common neighbour.  The search prunes by
     coverage at every vertex whose neighbourhood is independent (all of
     them on triangle-free input): weight above m there already fails the
-    second condition.
+    second condition.  The same vertices bound the dual certificate, which
+    proves all levels at once; otherwise levels are searched in order.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if not direct:
         return _on_quotient(g, lambda h: check_q(h, k, direct=True))
     independent = [all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
-    for m in range(1, k + 1):
-        witness = _coverage_search(
-            g, m, [m if ind else 3 * m for ind in independent],
-            lambda w: _certificate_free(g, m, w), isolated_cap=m + 1,
-        )
-        if witness is not None:
-            return Verdict(False, m, witness)
-    return Verdict(True, k, None)
+    return _decide(g, k, independent, lambda m: _coverage_search(
+        g, m, [m if ind else 3 * m for ind in independent],
+        lambda w: _certificate_free(g, m, w), isolated_cap=m + 1,
+    ))
 
 
 def validate_d_witness(g: Graph, m: int, weights: tuple[int, ...]) -> bool:
@@ -304,6 +366,14 @@ def validate_d_witness(g: Graph, m: int, weights: tuple[int, ...]) -> bool:
     if len(weights) != g.n or any(w < 0 for w in weights) or sum(weights) != 3 * m:
         return False
     return max(weighted_coverage(g, weights)) <= m
+
+
+def validate_covering_certificate(g: Graph, bounded, y: tuple[int, ...], d: int) -> bool:
+    """Re-check a dual certificate: Y >= 0 and zero off the bounded vertices,
+    Y-weight at least D on every neighbourhood, and sum Y < 3D."""
+    if len(y) != g.n or d < 1 or any(x < 0 or (x and not b) for x, b in zip(y, bounded)):
+        return False
+    return sum(y) < 3 * d and all(load >= d for load in weighted_coverage(g, y))
 
 
 def validate_q_witness(g: Graph, m: int, weights: tuple[int, ...]) -> bool:

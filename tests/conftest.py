@@ -21,8 +21,9 @@ from trifree.graph import (
     find_induced_all,
     from_edge_list,
     h_twins,
+    quotient,
 )
-from trifree.properties import validate_q_witness
+from trifree.properties import _certificate_free, _coverage_search, validate_q_witness
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -52,6 +53,31 @@ def twin_property_oracle(g: Graph, f: Graph, e=None) -> TwinPropertyResult:
                 if missing:
                     return TwinPropertyResult(False, (emb, qz, q2, next(_bits(missing))))
     return TwinPropertyResult(True)
+
+
+def covering_oracle(g: Graph, k: int, q: bool = False):
+    """(holds, level, witness) of the level-by-level DFS with no LP step.
+
+    The reference for `check_d` (or `check_q` when ``q``), which try a
+    fractional certificate first; like them it searches the twin quotient
+    and lifts the witness to the class representatives.
+    """
+    partition, h = quotient(g)
+    independent = [all(not h.adj[v] & row for v in _bits(row)) for row in h.adj]
+    for m in range(1, k + 1):
+        if q:
+            witness = _coverage_search(
+                h, m, [m if ind else 3 * m for ind in independent],
+                lambda w: _certificate_free(h, m, w), isolated_cap=m + 1,
+            )
+        else:
+            witness = _coverage_search(h, m, [m] * h.n, lambda _: True)
+        if witness is not None:
+            lifted = [0] * g.n
+            for rep, x in zip(partition.representatives, witness):
+                lifted[rep] = x
+            return False, m, tuple(lifted)
+    return True, k, None
 
 
 def to_nx(g: Graph) -> nx.Graph:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import (
     brute_force_d,
     brute_force_q1,
+    covering_oracle,
     nx_independence_number,
     nx_max_weight_independent_set,
     petersen,
@@ -16,8 +18,10 @@ from conftest import (
 )
 
 from trifree.families import andrasfai, cayley_6k, fig41, haggkvist_spec, vega
-from trifree.graph import BlowupSpec, Graph, blowup, from_edge_list, quotient
+from trifree.graph import BlowupSpec, Graph, _bits, blowup, from_edge_list, quotient
+import trifree.properties as properties_module
 from trifree.properties import (
+    _simplex_dual,
     check_d,
     check_q,
     degree_profile,
@@ -26,6 +30,7 @@ from trifree.properties import (
     is_maximal_triangle_free,
     is_triangle_free,
     max_weight_independent_set,
+    validate_covering_certificate,
     validate_d_witness,
     validate_q_witness,
     weighted_coverage,
@@ -257,3 +262,99 @@ def test_level_validation():
         check_d(cycle(5), 0)
     with pytest.raises(ValueError):
         check_q(cycle(5), -1)
+
+
+# -- fractional certificates ---------------------------------------------
+
+
+def _bounded(g, q):
+    return [not q or all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
+
+
+def test_lp_step_agrees_with_level_search():
+    rng = random.Random(137)
+    proved = refuted = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 10), rng.choice((0.3, 0.5, 0.7)))
+        if rng.random() < 0.3:  # one isolated vertex
+            g = from_edge_list(g.n + 1, list(g.edges()))
+        for k in (1, 2, 4):
+            for q, checker in ((False, check_d), (True, check_q)):
+                verdict = checker(g, k)
+                assert (verdict.holds, verdict.level, verdict.witness) == covering_oracle(g, k, q)
+                proved += verdict.certificate is not None
+                refuted += not verdict.holds
+    assert proved > 200 and refuted > 200
+
+
+def test_lp_values_are_pinned():
+    def value(g):
+        y, d = check_d(g, 4).certificate
+        return Fraction(sum(y), d)
+
+    for k in range(2, 7):
+        assert value(andrasfai(k)) == 3 - Fraction(1, k)
+    expected = (Fraction(35, 12), Fraction(62, 21), Fraction(89, 30), Fraction(116, 39))
+    for i, want in zip(range(2, 6), expected):
+        assert value(vega(i, 0, 0)[0]) == want
+    # value exactly 3: no certificate, and the level search refutes level 2
+    for g in [fig41()] + [cayley_6k(k) for k in (2, 3, 4)]:
+        assert _simplex_dual(g, list(range(g.n))) is None
+        for checker in (check_d, check_q):
+            verdict = checker(g, 4)
+            assert verdict.certificate is None and verdict.level == 2
+
+
+def _holding_catalog():
+    members = [vega(i, mu, nu)[0] for i in (2, 3, 4) for mu in (0, 1) for nu in (0, 1)]
+    members.append(vega(5, 0, 0)[0])
+    census = [g for n in range(2, 11) for g in enumerate_maximal_tf(n) if check_d(g, 4).holds]
+    assert len(census) == 68
+    rng = random.Random(139)
+    templates = (andrasfai(3), vega(2, 0, 0)[0], vega(3, 1, 0)[0])
+    blowups = [blowup(BlowupSpec(t, tuple(rng.randint(1, 3) for _ in range(t.n))))
+               for t in templates]
+    return members + census + blowups
+
+
+def test_holding_verdicts_carry_valid_certificates():
+    for g in _holding_catalog():
+        for q, checker in ((False, check_d), (True, check_q)):
+            verdict = checker(g, 4)
+            assert verdict.holds and verdict.witness is None
+            bounded = _bounded(g, q)
+            y, d = verdict.certificate
+            assert validate_covering_certificate(g, bounded, y, d)
+            for v in range(g.n):
+                if y[v]:
+                    lowered = y[:v] + (y[v] - 1,) + y[v + 1:]
+                    assert not validate_covering_certificate(g, bounded, lowered, d)
+
+
+def test_certificate_validator_rejects_malformed_duals():
+    g = cycle(5)
+    y, d = check_d(g, 4).certificate
+    assert validate_covering_certificate(g, [True] * 5, y, d)
+    assert not validate_covering_certificate(g, [True] * 5, y + (0,), d)
+    assert not validate_covering_certificate(g, [True] * 5, y, 0)
+    assert not validate_covering_certificate(g, [True] * 5, tuple(3 * x for x in y), d)
+    unbounded = [x == 0 for x in y]
+    assert not validate_covering_certificate(g, unbounded, y, d)
+
+
+def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _simplex_dual(*args)
+
+    monkeypatch.setattr(properties_module, "_simplex_dual", counted)
+    for checker in (check_d, check_q):
+        assert checker(cayley_6k(7), 4).level == 2  # n = 3 * degree
+        with pytest.raises(RecursionError):  # straight into the deep DFS
+            checker(cycle(1000), 1)
+    assert calls == 0
+    assert check_d(cycle(5), 4).certificate is not None
+    assert calls == 1

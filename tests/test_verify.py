@@ -45,12 +45,21 @@ def test_reports_carry_seeds_and_parameters(tmp_path):
     assert report.name == "degree_table"
     assert report.passed and report.counterexample is None
     assert report.seed is None  # deterministic check
-    seeded = run_check("no_small_neighborhood")
-    assert seeded.seed == SEEDS["no_small_neighborhood"]
+    seeded = run_check("gamma_twin_attach")
+    assert seeded.seed == SEEDS["gamma_twin_attach"]
     # the catalog is fixed, and the report keeps its empty parameter map
     out = tmp_path / "report.json"
     assert main(["paper-verify", "--check", "degree_table", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["checks"][0]["parameters"] == {}
+
+
+def test_no_small_neighborhood_checks_each_member_row(monkeypatch):
+    report = run_check("no_small_neighborhood")
+    assert report.passed and report.seed is None
+    monkeypatch.setattr(verify_module, "_small_set", lambda lab, mask: True)
+    mutant = run_check("no_small_neighborhood")
+    assert not mutant.passed
+    assert mutant.counterexample["i"] == 2 and mutant.counterexample["vertex"] == 0
 
 
 def test_registry_takes_no_knobs():

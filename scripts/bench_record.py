@@ -61,19 +61,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     args = parser.parse_args(argv)
     folded = {
         "seeds": args.seeds,
-        "parent": fold(args.parent, args.workloads, args.seeds),
-        "change": fold(args.change, args.workloads, args.seeds),
+        "parent": fold(args.parent, WORKLOADS, args.seeds),
+        "change": fold(args.change, WORKLOADS, args.seeds),
     }
     with open(args.out, "w", encoding="ascii") as handle:
         json.dump(folded, handle, indent=1)
         handle.write("\n")
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         before = folded["parent"]["workloads"][workload]["median"]["wall_s"]
         after = folded["change"]["workloads"][workload]["median"]["wall_s"]
         print(f"{workload}: wall_s median {before:.3f} -> {after:.3f}", file=sys.stderr)

@@ -290,6 +290,7 @@ def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], 
 def _decide(g: Graph, k: int, bounded, search) -> Verdict:
     """A re-checked dual certificate for every level, else the level search."""
     rows = [y for y in range(g.n) if bounded[y]]
+    # otherwise w = 1/(largest bounded degree) is feasible with value >= 3
     if g.n < 3 * max((g.degree(y) for y in rows), default=0):
         certificate = _simplex_dual(g, rows)
         if certificate is not None:

@@ -36,13 +36,14 @@ def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit:
 
 def test_fold_keeps_metrics_and_medians(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for seed, before, after in ((1, 14.0, 0.3), (2, 13.0, 0.2), (3, 15.0, 0.4)):
-        _write_record(parent, "covering", seed, before, "aaa")
-        _write_record(change, "covering", seed, after, "bbb")
+    script = _script()
+    for workload in script.WORKLOADS:
+        for seed, before, after in ((1, 14.0, 0.3), (2, 13.0, 0.2), (3, 15.0, 0.4)):
+            _write_record(parent, workload, seed, before, "aaa")
+            _write_record(change, workload, seed, after, "bbb")
     out = tmp_path / "BENCH.json"
-    assert _script().main(["--parent", str(parent), "--change", str(change),
-                           "--workloads", "covering", "--seeds", "1", "2", "3",
-                           "--out", str(out)]) == 0
+    assert script.main(["--parent", str(parent), "--change", str(change),
+                        "--seeds", "1", "2", "3", "--out", str(out)]) == 0
     folded = json.loads(out.read_text())
     assert folded["parent"]["commit"] == "aaa" and folded["change"]["nproc"] == 2
     covering = folded["change"]["workloads"]["covering"]

@@ -147,7 +147,11 @@ def census_row(g: Graph) -> CensusRow:
     d = check_d(q, 4, direct=True)
     d2 = d.holds or d.level > 2
     d3 = d.holds or d.level > 3
-    q4 = check_q(q, 4, direct=True).holds
+    # when every neighbourhood is independent, check_q would bound the same
+    # vertices and solve the same LP, so a D certificate proves Q too
+    same_lp = d.certificate is not None and all(
+        not q.adj[v] & row for row in q.adj for v in _bits(row))
+    q4 = same_lp or check_q(q, 4, direct=True).holds
     certificate = match_template(partition, q)
     recognized = certificate.family if certificate is not None else None
     induced_c6 = next(find_induced_all(q, _C6), None) is not None
@@ -220,13 +224,24 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
 
 
 def _template_optimum(
-    template: Graph, n: int, s: int
+    template: Graph, n: int, s: int, floor: int = -1
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Best blow-up edge count of one template at order n, independence <= s.
 
-    Walks weight vectors w >= 1 with sum n; prunes on the running maximum
-    over maximal independent sets with unassigned weights at their minimum.
-    Returns (-1, []) when no feasible weighting exists.
+    The template must be triangle-free.  Then each N(v) is independent, so a
+    feasible weighting w has W(N(v)) <= s, and counting each edge from both
+    ends gives 2E = sum_v w_v * W(N(v)) = ns - sum_v w_v * slack_v with
+    slack_v = s - W(N(v)) >= 0.  The walk places weights w >= 1 with sum n,
+    first on the vertices that complete the most neighbourhoods.  At a node,
+    a complete neighbourhood's slack is exact; any other's is at least s
+    minus its weight so far (unplaced vertices at 1) minus the weight left
+    to place; an unplaced vertex counts at weight 1.  A node is cut when
+    that bound on 2E is below 2 * max(best so far, ``floor``), or when the
+    unplaced vertices lack the independence headroom for the weight left.
+    The edge cut is strict, so no weighting that reaches the floor is lost.
+
+    Returns the optimum and its weight tuples in lexicographic order, or
+    (-1, []) when no feasible weighting reaches ``floor``.
     """
     t = template.n
     if t > n:
@@ -237,46 +252,62 @@ def _template_optimum(
         return -1, []
     per_vertex = [[j for j, m in enumerate(mis_masks) if m >> v & 1] for v in range(t)]
     nbr = [tuple(_bits(template.adj[v])) for v in range(t)]
+    order: list[int] = []
+    unplaced = (1 << t) - 1
+    while unplaced:  # u completes N(v) when it is the last unplaced vertex there
+        order.append(max(_bits(unplaced), key=lambda u: sum(
+            template.adj[v] & unplaced == 1 << u for v in nbr[u])))
+        unplaced &= ~(1 << order[-1])
     weights = [1] * t
+    near = [len(row) for row in nbr]  # W(N(v)), kept up to date
+    open_nbrs = [len(row) for row in nbr]  # unplaced vertices in N(v)
     best = -1
     best_weights: list[tuple[int, ...]] = []
 
-    def walk(v: int, remaining: int, edges_so_far: int) -> None:
-        nonlocal best, best_weights
-        if v == t:
-            if edges_so_far >= best:
-                if edges_so_far > best:
-                    best = edges_so_far
-                    best_weights.clear()
-                best_weights.append(tuple(weights))
-            return
-        if remaining:
-            # the tail cannot absorb more than its independence headroom
-            absorb = 0
-            for u in range(v, t):
-                head = min(s - mis_load[j] for j in per_vertex[u])
-                absorb += head
-                if absorb >= remaining:
-                    break
-            if absorb < remaining:
-                return
-        choices = (remaining,) if v == t - 1 else range(remaining + 1)
-        for extra in choices:
-            weights[v] = 1 + extra
-            if extra:
-                for j in per_vertex[v]:
-                    mis_load[j] += extra
-            if all(mis_load[j] <= s for j in per_vertex[v]):
-                gained = (1 + extra) * sum(weights[u] for u in nbr[v] if u < v)
-                walk(v + 1, remaining - extra, edges_so_far + gained)
-            if extra:
-                for j in per_vertex[v]:
-                    mis_load[j] -= extra
-        weights[v] = 1
-        return
+    def shift(v: int, delta: int) -> None:
+        weights[v] += delta
+        for u in nbr[v]:
+            near[u] += delta
+        for j in per_vertex[v]:
+            mis_load[j] += delta
 
-    walk(0, n - t, 0)
-    return best, best_weights
+    def walk(i: int, remaining: int) -> None:
+        nonlocal best
+        twice = n * s
+        for v in range(t):
+            slack = s - near[v] - (remaining if open_nbrs[v] else 0)
+            if slack > 0:
+                twice -= weights[v] * slack
+        if twice < 2 * max(best, floor):
+            return
+        if not remaining:  # the one completion, exact: the rest stay at 1
+            if twice > 2 * best:
+                best = twice // 2
+                best_weights.clear()
+            best_weights.append(tuple(weights))
+            return
+        # the unplaced vertices cannot absorb more than their headroom
+        absorb = 0
+        for u in order[i:]:
+            absorb += min(s - mis_load[j] for j in per_vertex[u])
+            if absorb >= remaining:
+                break
+        if absorb < remaining:
+            return
+        v = order[i]
+        for u in nbr[v]:
+            open_nbrs[u] -= 1
+        for extra in (remaining,) if i == t - 1 else range(remaining + 1):
+            shift(v, 1 + extra - weights[v])
+            if any(mis_load[j] > s for j in per_vertex[v]):
+                break
+            walk(i + 1, remaining - extra)
+        shift(v, 1 - weights[v])
+        for u in nbr[v]:
+            open_nbrs[u] += 1
+
+    walk(0, n - t)
+    return best, sorted(best_weights)
 
 
 def _maximal_independent_sets(g: Graph) -> list[int]:
@@ -306,8 +337,14 @@ def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
     """Best edge count over template blow-ups with order n and independence <= s.
 
     Templates: the circulant family at the formula index and its neighbours,
-    plus every named hexagon-family member fitting the order.  Witnesses are
-    deduplicated by canonical form of the expansion.
+    plus every named hexagon-family member fitting the order.  All are
+    triangle-free, which the walk's edge bound needs: each neighbourhood is
+    independent, so 2E = ns - sum_v w_v * (s - W(N(v))) with every term >= 0
+    (see `_template_optimum`).  Each template is walked with the best value
+    so far as its floor; one that cannot reach it stops early and is
+    dropped.  Witnesses come template by template, each template's
+    weightings in lexicographic order, deduplicated by canonical form of
+    the expansion.
     """
     if not (3 * s > n and 2 * s <= n):
         raise ValueError(f"s must satisfy n/3 < s <= n/2, got (n, s) = ({n}, {s})")
@@ -329,7 +366,7 @@ def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
     specs: list[BlowupSpec] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for template in templates:
-        value, weightings = _template_optimum(template, n, s)
+        value, weightings = _template_optimum(template, n, s, best)
         if value < best:
             continue
         if value > best:

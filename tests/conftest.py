@@ -24,6 +24,7 @@ from trifree.graph import (
     quotient,
 )
 from trifree.properties import _certificate_free, _coverage_search, validate_q_witness
+from trifree.search import _maximal_independent_sets
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
@@ -78,6 +79,64 @@ def covering_oracle(g: Graph, k: int, q: bool = False):
                 lifted[rep] = x
             return False, m, tuple(lifted)
     return True, k, None
+
+
+def extremal_oracle(template: Graph, n: int, s: int):
+    """(best, weightings) of the walk with the headroom prune only.
+
+    The reference for `search._template_optimum`, which also cuts on the
+    degree-slack edge bound and walks vertices in another order; this walk
+    takes them by label, so its ties come out in lexicographic order.
+    """
+    t = template.n
+    if t > n:
+        return -1, []
+    mis_masks = _maximal_independent_sets(template)
+    mis_load = [m.bit_count() for m in mis_masks]  # all-ones placeholder weights
+    if max(mis_load) > s:
+        return -1, []
+    per_vertex = [[j for j, m in enumerate(mis_masks) if m >> v & 1] for v in range(t)]
+    nbr = [tuple(_bits(template.adj[v])) for v in range(t)]
+    weights = [1] * t
+    best = -1
+    best_weights: list[tuple[int, ...]] = []
+
+    def walk(v: int, remaining: int, edges_so_far: int) -> None:
+        nonlocal best, best_weights
+        if v == t:
+            if edges_so_far >= best:
+                if edges_so_far > best:
+                    best = edges_so_far
+                    best_weights.clear()
+                best_weights.append(tuple(weights))
+            return
+        if remaining:
+            # the tail cannot absorb more than its independence headroom
+            absorb = 0
+            for u in range(v, t):
+                head = min(s - mis_load[j] for j in per_vertex[u])
+                absorb += head
+                if absorb >= remaining:
+                    break
+            if absorb < remaining:
+                return
+        choices = (remaining,) if v == t - 1 else range(remaining + 1)
+        for extra in choices:
+            weights[v] = 1 + extra
+            if extra:
+                for j in per_vertex[v]:
+                    mis_load[j] += extra
+            if all(mis_load[j] <= s for j in per_vertex[v]):
+                gained = (1 + extra) * sum(weights[u] for u in nbr[v] if u < v)
+                walk(v + 1, remaining - extra, edges_so_far + gained)
+            if extra:
+                for j in per_vertex[v]:
+                    mis_load[j] -= extra
+        weights[v] = 1
+        return
+
+    walk(0, n - t, 0)
+    return best, best_weights
 
 
 def to_nx(g: Graph) -> nx.Graph:

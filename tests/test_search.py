@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from conftest import brute_force_maximal_tf, nx_independence_number
+from conftest import brute_force_maximal_tf, extremal_oracle, nx_independence_number
 
 from trifree.families import AndrasfaiId, VegaId, andrasfai
+from trifree.formats import write_graph6
 from trifree.graph import BlowupSpec, Graph, blowup, canonical_form, isomorphic
 from trifree.properties import is_maximal_triangle_free, is_triangle_free
 import trifree.search as search_module
@@ -126,6 +127,24 @@ def test_census_rows_and_invariants():
         assert (not row.d3 or row.d2) and (not row.d4 or row.d3)
 
 
+def test_census_solves_each_covering_lp_once(monkeypatch):
+    import trifree.properties as properties_module
+
+    calls = 0
+    original = properties_module._simplex_dual
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(properties_module, "_simplex_dual", counted)
+    rows = census(8)
+    # check_q on these triangle-free rows would solve check_d's LP again: 20 calls
+    assert all(row.q4 for row in rows)
+    assert calls == len(rows) == 10
+
+
 def test_census_row_of_pentagon():
     row = census_row(andrasfai(2))
     assert row.d2 and row.d3 and row.d4 and row.q4
@@ -242,6 +261,49 @@ def test_extremal_balanced_pentagon_blowup():
         and sorted(spec.weights) == [4, 4, 4, 4, 4]
     ]
     assert balanced
+
+
+def _walked_templates(monkeypatch, pairs):
+    """Each (template, n, s) that `search_extremal` walks at these pairs."""
+    walked = {}
+    original = search_module._template_optimum
+
+    def recorded(template, n, s, floor=-1):
+        walked.setdefault((template.adj, n, s), template)
+        return original(template, n, s, floor)
+
+    monkeypatch.setattr(search_module, "_template_optimum", recorded)
+    for n, s in pairs:
+        search_extremal(n, s)
+    monkeypatch.undo()
+    return [(template, n, s) for (_, n, s), template in walked.items()]
+
+
+def test_template_optimum_matches_the_plain_walk(monkeypatch):
+    pairs = [(n, s) for n in range(5, 17) for s in range(n // 3 + 1, n // 2 + 1)]
+    walked = _walked_templates(monkeypatch, pairs)
+    assert len(walked) > 100
+    optima = 0
+    for template, n, s in walked:
+        value, ties = extremal_oracle(template, n, s)
+        assert search_module._template_optimum(template, n, s) == (value, ties)
+        if value >= 0:
+            optima += 1
+            # ties at the floor are all kept; a floor above the optimum stops it
+            assert search_module._template_optimum(template, n, s, value) == (value, ties)
+            assert search_module._template_optimum(template, n, s, value + 1)[0] < value + 1
+    assert optima > 50
+
+
+@pytest.mark.parametrize("n, s, best, witnesses", [
+    (22, 9, 97, [("DUW", (4, 4, 5, 4, 5))]),
+    (24, 11, 125, [("DUW", (2, 2, 9, 2, 9)), ("DUW", (2, 3, 8, 2, 9)),
+                   ("DUW", (2, 4, 7, 2, 9)), ("DUW", (2, 5, 6, 2, 9))]),
+])
+def test_extremal_witnesses_are_pinned(n, s, best, witnesses):
+    result = search_extremal(n, s)
+    assert result.best_found == best
+    assert [(write_graph6(spec.base), spec.weights) for spec in result.witnesses] == witnesses
 
 
 def test_extremal_domain_checks():

@@ -9,7 +9,10 @@ Each checkout must hold the untraced records that
 ``.perfbench/results/W-seedS-trace0.json``.  For each side the output keeps
 the commit, Python version and nproc of its runs, and for each workload the
 ``result.metrics`` and failure counts of every seed with the median of each
-metric over the seeds.  Stdlib only; it does not import trifree.
+metric over the seeds.  When the traced record of the first seed
+(``W-seedS-trace1.json``, from ``--trace 1``) is there too, its ``.calls``
+counters sit next to the medians under ``calls``.  Stdlib only; it does not
+import trifree.
 """
 
 from __future__ import annotations
@@ -24,12 +27,25 @@ WORKLOADS = ("census", "covering", "paper", "recognize")
 SAME_FOR_EVERY_RUN = ("commit", "python", "nproc")
 
 
-def _record(checkout: str, workload: str, seed: int) -> dict:
-    path = os.path.join(checkout, ".perfbench", "results", f"{workload}-seed{seed}-trace0.json")
+def _path(checkout: str, workload: str, seed: int, trace: int) -> str:
+    return os.path.join(checkout, ".perfbench", "results",
+                        f"{workload}-seed{seed}-trace{trace}.json")
+
+
+def _record(checkout: str, workload: str, seed: int, side: dict, trace: int = 0) -> dict:
+    """One run's record, after checking that it is a measurement of the same
+    commit, Python and nproc as the side's other runs."""
+    path = _path(checkout, workload, seed, trace)
     with open(path, encoding="ascii") as handle:
         record = json.load(handle)
     if record["environment"]["smoke"]:
         raise SystemExit(f"{path}: a smoke run, not a measurement")
+    for key in SAME_FOR_EVERY_RUN:
+        seen = record["environment"][key]
+        if side[key] is None:
+            side[key] = seen
+        elif side[key] != seen:
+            raise SystemExit(f"{path}: {key} {seen!r}, other runs {side[key]!r}")
     return record
 
 
@@ -40,20 +56,17 @@ def fold(checkout: str, workloads, seeds) -> dict:
     for workload in workloads:
         runs = []
         for seed in seeds:
-            record = _record(checkout, workload, seed)
-            for key in SAME_FOR_EVERY_RUN:
-                seen = record["environment"][key]
-                if side[key] is None:
-                    side[key] = seen
-                elif side[key] != seen:
-                    raise SystemExit(f"{checkout}: {workload} seed {seed} has {key} "
-                                     f"{seen!r}, other runs {side[key]!r}")
-            result = record["result"]
+            result = _record(checkout, workload, seed, side)["result"]
             runs.append({"seed": seed, "attempted": result["attempted"],
                          "failed": result["failed"], "metrics": result["metrics"]})
         median = {name: statistics.median(run["metrics"][name]["value"] for run in runs)
                   for name in runs[0]["metrics"]}
         side["workloads"][workload] = {"median": median, "runs": runs}
+        if os.path.exists(_path(checkout, workload, seeds[0], 1)):
+            metrics = _record(checkout, workload, seeds[0], side, trace=1)["result"]["metrics"]
+            side["workloads"][workload]["calls"] = {
+                name: metric["value"] for name, metric in metrics.items()
+                if name.endswith(".calls")}
     return side
 
 

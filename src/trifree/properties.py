@@ -14,8 +14,19 @@ Holding verdicts are proved for every level at once by an integer dual
 level-m witness scaled by 1/m is feasible with value 3, and weak duality
 gives sum w / m <= sum Y / D < 3.  Every vertex is bounded for the plain
 property, each vertex with an independent neighbourhood for the variant.
-When n >= 3 * (largest bounded degree), w = 1/that degree reaches 3, so no
-dual exists and the simplex is skipped.  Refutations come from the DFS.
+Y = 1 on the bounded vertices, with D the least number of them in any
+neighbourhood, is a dual when fewer than 3D are bounded (delta > n/3 for
+the plain property), and is tried first.  When n >= 3 * (largest bounded
+degree), w = 1/that degree reaches 3, so no dual exists and the simplex is
+skipped.  Refutations come from the DFS.
+
+Maximum-weight independent sets take isolated vertices, and pendant
+vertices at least as heavy as their neighbour (a set holding the neighbour
+can swap it for the leaf), then solve each component left by take-first
+branch and bound on an explicit stack.  `independence_number` solves the
+twin quotient weighted by class size: twins are never adjacent (u in
+N(v) = N(u) would be a loop), and with positive weights a maximum set is
+maximal, so it takes whole classes.
 """
 
 from __future__ import annotations
@@ -111,52 +122,79 @@ def _cover_bound(adj: tuple[int, ...], weights, mask: int) -> int:
     return sum(entry[1] for entry in cliques)
 
 
+def _take_forced(adj, weights, mask: int, touched: int, acc: int, acc_mask: int):
+    """Take isolated vertices, and pendant ones at least as heavy as their
+    neighbour, to a fixpoint; only ``touched`` vertices can have changed."""
+    while touched:
+        changed = 0
+        for v in _bits(touched & mask):
+            near = adj[v] & mask
+            u = near.bit_length() - 1
+            if not mask >> v & 1 or near & (near - 1) or near and weights[v] < weights[u]:
+                continue
+            if near:
+                changed |= adj[u]
+            mask &= ~(near | 1 << v)
+            acc, acc_mask = acc + weights[v], acc_mask | 1 << v
+        touched = changed & mask
+    return mask, acc, acc_mask
+
+
+def _branch_and_bound(adj, weights, mask: int) -> tuple[int, int]:
+    """Take-first DFS on an explicit stack, from a fixpoint of `_take_forced`."""
+    best, best_mask = 0, 0
+    stack = [(mask, 0, 0, 0)]  # (mask, touched, acc, acc_mask)
+    while stack:
+        mask, touched, acc, acc_mask = stack.pop()
+        mask, acc, acc_mask = _take_forced(adj, weights, mask, touched, acc, acc_mask)
+        if acc > best:
+            best, best_mask = acc, acc_mask
+        if not mask or acc + _cover_bound(adj, weights, mask) <= best:
+            continue
+        pivot = max(_bits(mask), key=lambda v: (adj[v] & mask).bit_count())
+        near = adj[pivot] & mask
+        stack.append((mask & ~(1 << pivot), near, acc, acc_mask))
+        stack.append((mask & ~(near | 1 << pivot), mask, acc + weights[pivot], acc_mask | 1 << pivot))
+    return best, best_mask
+
+
 def max_weight_independent_set(
     g: Graph, weights: tuple[int, ...], within: Optional[int] = None
 ) -> tuple[int, int]:
-    """Exact branch and bound; returns (best total weight, vertex mask).
+    """Exact maximum-weight independent set; returns (total weight, vertex mask).
 
     ``within`` restricts the ground set to a vertex bitmask.  Zero-weight
-    vertices never enter the returned set.
+    vertices never enter the returned set.  Ties go to the first maximum set
+    found: forced vertices first (see the module docstring), then per
+    component take-before-skip on the least vertex of largest degree.
     """
     if len(weights) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(weights)}")
     mask = (1 << g.n) - 1 if within is None else within
-    for v in _bits(mask):
-        if weights[v] == 0:
-            mask &= ~(1 << v)
+    mask = sum(1 << v for v in _bits(mask) if weights[v])
     adj = g.adj
-    best = 0
-    best_mask = 0
-
-    def go(mask: int, acc: int, acc_mask: int) -> None:
-        nonlocal best, best_mask
-        # take vertices with no remaining neighbours outright
-        changed = True
-        while changed:
-            changed = False
-            for v in _bits(mask):
-                if not adj[v] & mask:
-                    acc += weights[v]
-                    acc_mask |= 1 << v
-                    mask &= ~(1 << v)
-                    changed = True
-        if acc > best:
-            best, best_mask = acc, acc_mask
-        if not mask or acc + _cover_bound(adj, weights, mask) <= best:
-            return
-        pivot = max(_bits(mask), key=lambda v: (adj[v] & mask).bit_count())
-        go(mask & ~(adj[pivot] | (1 << pivot)), acc + weights[pivot], acc_mask | (1 << pivot))
-        go(mask & ~(1 << pivot), acc, acc_mask)
-
-    go(mask, 0, 0)
+    mask, best, best_mask = _take_forced(adj, weights, mask, mask, 0, 0)
+    while mask:
+        part = grown = mask & -mask
+        while grown:
+            reach = 0
+            for v in _bits(grown):
+                reach |= adj[v]
+            grown = reach & mask & ~part
+            part |= grown
+        mask &= ~part
+        value, found = _branch_and_bound(adj, weights, part)
+        best, best_mask = best + value, best_mask | found
     return best, best_mask
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number with one maximum independent set."""
-    value, mask = max_weight_independent_set(g, (1,) * g.n)
-    return value, tuple(_bits(mask))
+    """Exact independence number with one maximum independent set: the
+    classes of `max_weight_independent_set` on the twin quotient weighted by
+    class size, in increasing order (exact, see the module docstring)."""
+    partition, q = quotient(g)
+    value, mask = max_weight_independent_set(q, partition.sizes)
+    return value, tuple(sorted(v for i in _bits(mask) for v in partition.classes[i]))
 
 
 # -- witness searches ----------------------------------------------------
@@ -290,13 +328,16 @@ def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], 
 def _decide(g: Graph, k: int, bounded, search) -> Verdict:
     """A re-checked dual certificate for every level, else the level search."""
     rows = [y for y in range(g.n) if bounded[y]]
+    ones = tuple(map(int, bounded))
+    least = min(weighted_coverage(g, ones), default=0)
+    certificate = (ones, least) if len(rows) < 3 * least else None
     # otherwise w = 1/(largest bounded degree) is feasible with value >= 3
-    if g.n < 3 * max((g.degree(y) for y in rows), default=0):
+    if certificate is None and g.n < 3 * max((g.degree(y) for y in rows), default=0):
         certificate = _simplex_dual(g, rows)
-        if certificate is not None:
-            if not validate_covering_certificate(g, bounded, *certificate):
-                raise InternalConsistencyError("covering certificate failed re-validation")
-            return Verdict(True, k, None, certificate)
+    if certificate is not None:
+        if not validate_covering_certificate(g, bounded, *certificate):
+            raise InternalConsistencyError("covering certificate failed re-validation")
+        return Verdict(True, k, None, certificate)
     for m in range(1, k + 1):
         witness = search(m)
         if witness is not None:
@@ -382,8 +423,3 @@ def validate_q_witness(g: Graph, m: int, weights: tuple[int, ...]) -> bool:
     if len(weights) != g.n or any(w < 0 for w in weights) or sum(weights) != 3 * m:
         return False
     return _certificate_free(g, m, weights)
-
-
-def in_class_d4(g: Graph) -> bool:
-    """Maximal triangle-free and satisfying the covering property at level 4."""
-    return is_maximal_triangle_free(g).holds and check_d(g, 4).holds

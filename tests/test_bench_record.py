@@ -22,16 +22,16 @@ def _script():
 
 
 def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit: str,
-                  smoke: bool = False) -> None:
+                  smoke: bool = False, trace: int = 0, metrics=None) -> None:
     results = checkout / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {
         "environment": {"python": "3.11.7", "commit": commit, "nproc": 2,
                         "workload": workload, "seed": seed, "smoke": smoke},
         "result": {"correct": True, "attempted": 4, "failed": 0,
-                   "metrics": {"wall_s": {"value": wall, "unit": "s"}}},
+                   "metrics": metrics or {"wall_s": {"value": wall, "unit": "s"}}},
     }
-    (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+    (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_fold_keeps_metrics_and_medians(tmp_path):
@@ -61,3 +61,23 @@ def test_fold_refuses_mixed_commits_and_smoke_runs(tmp_path):
     _write_record(tmp_path, "census", 1, 1.0, "aaa", smoke=True)
     with pytest.raises(SystemExit, match="smoke"):
         script.fold(str(tmp_path), ["census"], [1])
+
+
+def test_fold_adds_the_traced_calls_of_the_first_seed(tmp_path):
+    script = _script()
+    traced = {"properties.check_d.calls": {"value": 6, "unit": "count"},
+              "properties.check_d.self_s": {"value": 0.5, "unit": "s"},
+              "trace.overhead_s": {"value": 0.1, "unit": "s"}}
+    for seed in (1, 2):
+        _write_record(tmp_path, "recognize", seed, 1.0, "aaa")
+        _write_record(tmp_path, "covering", seed, 1.0, "aaa")
+    _write_record(tmp_path, "recognize", 1, 0.0, "aaa", trace=1, metrics=traced)
+    _write_record(tmp_path, "covering", 2, 0.0, "aaa", trace=1, metrics=traced)
+    side = script.fold(str(tmp_path), ["recognize", "covering"], [1, 2])
+    assert side["workloads"]["recognize"]["calls"] == {"properties.check_d.calls": 6}
+    assert side["workloads"]["recognize"]["median"] == {"wall_s": 1.0}
+    # only the first seed's traced run counts
+    assert "calls" not in side["workloads"]["covering"]
+    _write_record(tmp_path, "recognize", 1, 0.0, "bbb", trace=1, metrics=traced)
+    with pytest.raises(SystemExit, match="commit"):
+        script.fold(str(tmp_path), ["recognize"], [1, 2])

@@ -182,6 +182,14 @@ def test_deep_recursion_exits_as_input_error():
     assert "Traceback" not in result.stderr
 
 
+def test_alpha_of_a_long_path_answers():
+    path = "p tf 1000\n" + "".join(f"e {v} {v + 1}\n" for v in range(999))
+    result = run_cli(["check", "--alpha"], stdin=path)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["verdict"]["alpha"] == 500
+    assert "Traceback" not in result.stderr
+
+
 def test_timings_flag_is_the_only_instability():
     plain = run_cli(["check", "--maximal"], stdin="p tf 2\ne 0 1\n")
     timed = run_cli(["check", "--maximal", "--timings"], stdin="p tf 2\ne 0 1\n")

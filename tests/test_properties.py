@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from trifree.properties import (
     check_d,
     check_q,
     degree_profile,
-    in_class_d4,
     independence_number,
     is_maximal_triangle_free,
     is_triangle_free,
@@ -92,6 +92,54 @@ def test_independence_number_against_networkx():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 10))
         assert independence_number(g)[0] == nx_independence_number(g)
+
+
+def _blowup_cases(seed):
+    rng = random.Random(seed)
+    for template in (vega(3, 0, 0)[0], andrasfai(5), fig41()):
+        for total in (30, 45, 60, 90, 120):
+            weights = [1] * template.n
+            for _ in range(total - template.n):
+                weights[rng.randrange(template.n)] += 1
+            yield template, tuple(weights), blowup(BlowupSpec(template, tuple(weights)))
+
+
+def test_independence_number_of_blowups():
+    for template, weights, g in _blowup_cases(211):
+        value, members = independence_number(g)
+        # the template weighted by block size has the same optimum
+        assert value == nx_max_weight_independent_set(template, weights) == len(members)
+        if g.n <= 60:
+            assert value == nx_max_weight_independent_set(g, (1,) * g.n)
+        chosen = set(members)
+        assert all(not g.has_edge(u, v) for u in members for v in members if u < v)
+        for block in quotient(g)[0].classes:
+            assert chosen.isdisjoint(block) or chosen.issuperset(block)
+
+
+def test_pendant_rule_against_networkx():
+    # leaf 0 hangs off 1, which sits on a 5-cycle 1..5
+    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    for leaf in (1, 3, 5):  # lighter than, equal to, heavier than its neighbour
+        weights = (leaf, 3, 1, 2, 1, 2)
+        value, mask = max_weight_independent_set(g, weights)
+        members = list(_bits(mask))
+        assert all(not g.has_edge(u, v) for u in members for v in members if u < v)
+        assert sum(weights[v] for v in members) == value
+        assert value == nx_max_weight_independent_set(g, weights)
+        if leaf >= 3:  # at least its neighbour's weight: the leaf is taken
+            assert mask & 1
+
+
+def test_long_paths_and_cycles_are_fast():
+    for closed in (False, True):
+        g = from_edge_list(1000, [(i, (i + 1) % 1000) for i in range(1000 - (not closed))])
+        started = time.perf_counter()
+        value, members = independence_number(g)
+        assert time.perf_counter() - started < 1.0
+        members = set(members)
+        assert value == len(members) == 500
+        assert not any(u in members and v in members for u, v in g.edges())
 
 
 def test_check_d_matches_brute_force():
@@ -250,11 +298,11 @@ def test_petersen_fails_at_level_two():
 
 
 def test_in_class_membership():
-    assert in_class_d4(cycle(5))
-    assert in_class_d4(vega(2, 1, 1)[0])
-    assert not in_class_d4(cycle(6))      # not maximal
-    assert not in_class_d4(fig41())       # maximal, but covering fails
-    assert not in_class_d4(petersen())    # maximal, but covering fails
+    for g in (cycle(5), vega(2, 1, 1)[0]):
+        assert is_maximal_triangle_free(g).holds and check_d(g, 4).holds
+    assert not is_maximal_triangle_free(cycle(6)).holds
+    for g in (fig41(), petersen()):  # maximal, but covering fails
+        assert is_maximal_triangle_free(g).holds and not check_d(g, 4).holds
 
 
 def test_level_validation():
@@ -331,6 +379,25 @@ def test_holding_verdicts_carry_valid_certificates():
                     assert not validate_covering_certificate(g, bounded, lowered, d)
 
 
+def test_dense_members_carry_the_all_ones_certificate(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _simplex_dual(*args)
+
+    monkeypatch.setattr(properties_module, "_simplex_dual", counted)
+    # andrasfai(k) is k-regular on 3k - 1 vertices: delta > n/3
+    for k in (10, 40):
+        verdict = check_d(andrasfai(k), 4)
+        assert verdict.holds and verdict.certificate == ((1,) * (3 * k - 1), k)
+    started = time.perf_counter()
+    assert check_d(andrasfai(120), 4).holds
+    assert time.perf_counter() - started < 1.0
+    assert calls == 0
+
+
 def test_certificate_validator_rejects_malformed_duals():
     g = cycle(5)
     y, d = check_d(g, 4).certificate
@@ -356,5 +423,6 @@ def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
         with pytest.raises(RecursionError):  # straight into the deep DFS
             checker(cycle(1000), 1)
     assert calls == 0
-    assert check_d(cycle(5), 4).certificate is not None
+    # delta <= n/3, so the all-ones certificate fails and the simplex runs
+    assert check_d(vega(2, 0, 0)[0], 4).certificate is not None
     assert calls == 1

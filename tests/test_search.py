@@ -131,16 +131,17 @@ def test_census_solves_each_covering_lp_once(monkeypatch):
     import trifree.properties as properties_module
 
     calls = 0
-    original = properties_module._simplex_dual
+    original = properties_module.validate_covering_certificate
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(properties_module, "_simplex_dual", counted)
+    # every certificate, all-ones or from the simplex, is re-checked once
+    monkeypatch.setattr(properties_module, "validate_covering_certificate", counted)
     rows = census(8)
-    # check_q on these triangle-free rows would solve check_d's LP again: 20 calls
+    # check_q on these triangle-free rows would prove check_d's LP again: 20 calls
     assert all(row.q4 for row in rows)
     assert calls == len(rows) == 10
 

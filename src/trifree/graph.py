@@ -251,10 +251,9 @@ def _leaf_key(rows: Sequence[int], n: int, position: Sequence[int]) -> tuple[int
         inv[p] = v
     key = []
     for p in range(n):
-        row = rows[inv[p]]
         bits = 0
-        for q in range(n):
-            bits = bits << 1 | (row >> inv[q] & 1)
+        for u in _bits(rows[inv[p]]):
+            bits |= 1 << (n - 1 - position[u])
         key.append(bits)
     return tuple(key)
 
@@ -385,6 +384,36 @@ def blowup(spec: BlowupSpec) -> Graph:
     return Graph(total, rows)
 
 
+def canonical_labeling(
+    g: Graph,
+) -> tuple[TwinPartition, tuple[int, ...], list[tuple[int, ...]], tuple[int, ...]]:
+    """One canonical search on the size-colored twin quotient of g: the twin
+    partition, each class's canonical quotient position, the quotient
+    automorphisms found (maps on class indices) and the first path.
+
+    The automorphisms found generate the size-preserving group A of the
+    quotient: with G_i generated by those fixing path[:i],
+    |G_i| >= |orbit of path[i] under G_i| * |G_{i+1}|, and the product of
+    those orbit sizes is |A| (see `automorphism_order`).
+    """
+    p, q = quotient(g)
+    qpos, autos, path = _canonical_search(q.adj, q.n, colors=p.sizes)
+    return p, qpos, autos, path
+
+
+def canonical_relabel(
+    g: Graph, p: TwinPartition, qpos: Sequence[int]
+) -> tuple[Graph, Permutation]:
+    """The canonical graph of a `canonical_labeling` result: each class a
+    consecutive block in canonical quotient order, members in increasing order."""
+    position = [0] * g.n
+    by_position = sorted(range(len(qpos)), key=qpos.__getitem__)
+    for label, v in enumerate(v for i in by_position for v in p.classes[i]):
+        position[v] = label
+    perm = Permutation(tuple(position))
+    return relabel(g, perm), perm
+
+
 def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
     """An isomorphism-invariant relabeling: equal forms iff isomorphic graphs.
 
@@ -393,19 +422,8 @@ def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
     twin-heavy graphs; the canonical graph lists each class as a consecutive
     block in canonical quotient order.
     """
-    p, q = quotient(g)
-    qpos, _, _ = _canonical_search(q.adj, q.n, colors=p.sizes)
-    class_at_pos = [()] * q.n
-    for i in range(q.n):
-        class_at_pos[qpos[i]] = p.classes[i]
-    position = [0] * g.n
-    next_label = 0
-    for cls in class_at_pos:
-        for v in cls:
-            position[v] = next_label
-            next_label += 1
-    perm = Permutation(tuple(position))
-    return relabel(g, perm), perm
+    p, qpos, _, _ = canonical_labeling(g)
+    return canonical_relabel(g, p, qpos)
 
 
 def isomorphic(g: Graph, h: Graph) -> Optional[Permutation]:
@@ -426,6 +444,28 @@ def isomorphic(g: Graph, h: Graph) -> Optional[Permutation]:
     return perm
 
 
+def automorphism_generators(
+    p: TwinPartition, autos: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Generators of Aut(g) from `canonical_labeling(g)`: swaps of consecutive
+    twins, and each quotient automorphism a lifted with the j-th member of
+    class i going to the j-th member of class a[i]."""
+    n = sum(p.sizes)
+    gens = []
+    for cls in p.classes:
+        for u, v in zip(cls, cls[1:]):
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            gens.append(tuple(swap))
+    for a in autos:
+        lifted = [0] * n
+        for i, cls in enumerate(p.classes):
+            for u, v in zip(cls, p.classes[a[i]]):
+                lifted[u] = v
+        gens.append(tuple(lifted))
+    return gens
+
+
 def automorphism_order(g: Graph) -> int:
     """Exact order of the automorphism group.
 
@@ -444,11 +484,10 @@ def automorphism_order(g: Graph) -> int:
     equivalent to the first leaf, whose comparison with the first leaf
     yields an automorphism taking that orbit-mate to p[i].
     """
-    p, q = quotient(g)
+    p, _, autos, path = canonical_labeling(g)
     order = 1
     for c in p.classes:
         order *= factorial(len(c))
-    _, autos, path = _canonical_search(q.adj, q.n, colors=p.sizes)
     for i, v in enumerate(path):
         fixing = [a for a in autos if all(a[u] == u for u in path[:i])]
         order *= len(_orbit((v,), fixing))

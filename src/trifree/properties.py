@@ -345,10 +345,11 @@ def _decide(g: Graph, k: int, bounded, search) -> Verdict:
     return Verdict(True, k, None)
 
 
-def _on_quotient(g: Graph, run) -> Verdict:
+def _on_quotient(g: Graph, run, validate) -> Verdict:
     """Run a check on the twin quotient; lift a witness or certificate onto
     the class representatives, 0 elsewhere.  A vertex's neighbourhood holds
-    the representatives of its quotient neighbours, so sums are unchanged."""
+    the representatives of its quotient neighbours, so sums are unchanged.
+    ``validate`` re-checks the lifted witness on g."""
     partition, q = quotient(g)
     verdict = run(q)
 
@@ -357,7 +358,10 @@ def _on_quotient(g: Graph, run) -> Verdict:
         return tuple(on_rep.get(v, 0) for v in range(g.n))
 
     if verdict.witness is not None:
-        return replace(verdict, witness=lift(verdict.witness))
+        witness = lift(verdict.witness)
+        if not validate(g, verdict.level, witness):
+            raise InternalConsistencyError("lifted covering witness failed re-validation")
+        return replace(verdict, witness=witness)
     if verdict.certificate is not None:
         y, d = verdict.certificate
         return replace(verdict, certificate=(lift(y), d))
@@ -377,7 +381,7 @@ def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if not direct:
-        return _on_quotient(g, lambda h: check_d(h, k, direct=True))
+        return _on_quotient(g, lambda h: check_d(h, k, direct=True), validate_d_witness)
     return _decide(g, k, [True] * g.n,
                    lambda m: _coverage_search(g, m, [m] * g.n, lambda _: True))
 
@@ -395,7 +399,7 @@ def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     if not direct:
-        return _on_quotient(g, lambda h: check_q(h, k, direct=True))
+        return _on_quotient(g, lambda h: check_q(h, k, direct=True), validate_q_witness)
     independent = [all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
     return _decide(g, k, independent, lambda m: _coverage_search(
         g, m, [m if ind else 3 * m for ind in independent],

@@ -1,9 +1,19 @@
 """Exhaustive enumeration, census classification, conjecture hunt, extremal search.
 
-Enumeration proceeds level by level: every triangle-free graph on t+1
-vertices arises from one on t vertices by attaching a new vertex to an
-independent set (possibly empty), so extending each isomorph-reduced level
-and deduplicating by canonical form is complete.
+Enumeration proceeds level by level by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
+candidate g + x joins x to an independent mask of g in level t.  Masks are
+tried once per Aut(g)-orbit and only when x has least degree, and h = g + x
+is kept iff x lies in the Aut(h)-orbit of its canonical vertex, the
+least-degree twin class first in canonical quotient order.  Complete:
+deleting the canonical vertex v of a triangle-free h on t+1 vertices leaves
+some g of level t, and the tried mask in the orbit of the image of N(v)
+gives g + x isomorphic to h with x onto v.  Isomorph-free: an isomorphism
+between two kept candidates may be taken to map x to x, so it restricts to
+an automorphism of their common g carrying one mask onto the other, and
+only one mask per orbit is tried.  The candidate's one canonical search
+gives the test, the canonical form and the automorphism generators kept
+for the next level.
 
 The maximal graphs on n vertices attach x to level n-1 only along maximal
 independent sets S that hold both ends of every deficient pair (two
@@ -12,7 +22,9 @@ triangle-free, S dominating and x filling every deficient pair make it
 maximal.  This is complete: for any vertex v of a maximal triangle-free G,
 G - v lies in level n-1 up to relabelling, and N(v) is independent,
 dominates the rest (v shares a neighbour with every non-neighbour) and holds
-both ends of every pair whose only common neighbour in G is v.
+both ends of every pair whose only common neighbour in G is v.  So the
+canonical vertex qualifies, and the same augmentation is complete and
+isomorph-free over these masks, which are closed under Aut(g).
 """
 
 from __future__ import annotations
@@ -26,8 +38,12 @@ from .graph import (
     Graph,
     _bits,
     _independent_masks,
+    _orbit,
+    automorphism_generators,
     blowup,
     canonical_form,
+    canonical_labeling,
+    canonical_relabel,
     find_induced_all,
     from_edge_list,
     quotient,
@@ -82,25 +98,57 @@ class ExtremalResult:
     witnesses: tuple[BlowupSpec, ...]
 
 
-_tf_levels: list[list[Graph]] = [[], [Graph(1, [0])]]  # triangle-free, canonical, by order
+_tf_levels = [[], [(Graph(1, [0]), [])]]  # triangle-free, canonical, by order, with Aut generators
 
 
-def _attach(level: list[Graph], masks_of: Callable[[Graph], Iterable[int]]) -> list[Graph]:
-    """Each g + x with x joined to a mask of masks_of(g): canonical, deduplicated, sorted."""
-    seen: dict[tuple[int, ...], Graph] = {}
-    for g in level:
+def _mask_orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The images of a vertex mask under the group generated by gens."""
+    orbit, frontier = {mask}, [mask]
+    while frontier:
+        m = frontier.pop()
+        for a in gens:
+            img = sum(1 << a[v] for v in _bits(m))
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
+def _attach(level, masks_of: Callable[[Graph], Iterable[int]]):
+    """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g):
+    one per isomorphism class by canonical augmentation, canonical, sorted,
+    and paired with Aut generators as the graphs of ``level`` are."""
+    out = []
+    for g, gens in level:
         x = 1 << g.n
+        low = min(row.bit_count() for row in g.adj)
+        at_low = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == low)
+        done: set[int] = set()
         for mask in masks_of(g):
+            # x needs least degree in g + x; the test is Aut(g)-invariant
+            if mask in done or mask.bit_count() > low + (not at_low & ~mask):
+                continue
+            done |= _mask_orbit(mask, gens)
             rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
-            canon, _ = canonical_form(Graph(g.n + 1, rows + [mask]))
-            seen.setdefault(canon.adj, canon)
-    return [seen[key] for key in sorted(seen)]
+            h = Graph(g.n + 1, rows + [mask])
+            p, qpos, autos, _ = canonical_labeling(h)
+            degree = [h.adj[cls[0]].bit_count() for cls in p.classes]
+            first = min(range(len(degree)), key=lambda i: (degree[i], qpos[i]))
+            mine = next(i for i, cls in enumerate(p.classes) if cls[-1] == g.n)
+            if mine not in _orbit((first,), autos):
+                continue
+            canon, perm = canonical_relabel(h, p, qpos)
+            inv = perm.inverse().map
+            out.append((canon, [tuple(perm.map[a[u]] for u in inv)
+                                for a in automorphism_generators(p, autos)]))
+    out.sort(key=lambda pair: pair[0].adj)
+    return out
 
 
 def _tf_graphs(n: int) -> list[Graph]:
     while len(_tf_levels) <= n:
         _tf_levels.append(_attach(_tf_levels[-1], _independent_masks))
-    return _tf_levels[n]
+    return [g for g, _ in _tf_levels[n]]
 
 
 def _saturating_masks(g: Graph) -> list[int]:
@@ -128,7 +176,8 @@ def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
     if n < 2:
         raise ValueError(f"order must be at least 2, got {n}")
     _guard(n, allow_large)
-    return _attach(_tf_graphs(n - 1), _saturating_masks)
+    _tf_graphs(n - 1)
+    return [g for g, _ in _attach(_tf_levels[n - 1], _saturating_masks)]
 
 
 _C6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -311,25 +360,26 @@ def _template_optimum(
 
 
 def _maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets as bitmasks (simple pivoting recursion)."""
+    """All maximal independent sets as bitmasks, by pivoting on an explicit
+    stack; branches are pushed in reverse, so they pop in increasing order."""
     out = []
-    full = (1 << g.n) - 1
-
-    def expand(chosen: int, candidates: int, excluded: int) -> None:
+    stack = [(0, (1 << g.n) - 1, 0)]  # (chosen, candidates, excluded)
+    while stack:
+        chosen, candidates, excluded = stack.pop()
         if not candidates and not excluded:
             out.append(chosen)
-            return
+            continue
         pool = candidates | excluded
         pivot = max(_bits(pool), key=lambda v: (~g.adj[v] & candidates).bit_count())
         # branch on candidates that are not complement-neighbours of the pivot
+        branches = []
         for v in _bits(candidates & (g.adj[pivot] | (1 << pivot))):
             bit = 1 << v
             keep = ~g.adj[v]  # complement-graph closed neighbourhood of v
-            expand(chosen | bit, candidates & keep & ~bit, excluded & keep)
+            branches.append((chosen | bit, candidates & keep & ~bit, excluded & keep))
             candidates &= ~bit
             excluded |= bit
-
-    expand(0, full, 0)
+        stack.extend(reversed(branches))
     return out
 
 

@@ -18,6 +18,7 @@ from trifree.graph import (
     TwinPropertyResult,
     _bits,
     _mask_of,
+    canonical_form,
     find_induced_all,
     from_edge_list,
     h_twins,
@@ -54,6 +55,23 @@ def twin_property_oracle(g: Graph, f: Graph, e=None) -> TwinPropertyResult:
                 if missing:
                     return TwinPropertyResult(False, (emb, qz, q2, next(_bits(missing))))
     return TwinPropertyResult(True)
+
+
+def attach_oracle(level, masks_of) -> list[Graph]:
+    """Each g + x with x joined to a mask of masks_of(g), deduplicated by
+    canonical form and sorted by canonical adjacency.
+
+    The reference for `search._attach`, which builds the same list by
+    canonical augmentation: no global dictionary, one mask per orbit.
+    """
+    seen = {}
+    for g in level:
+        x = 1 << g.n
+        for mask in masks_of(g):
+            rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
+            canon, _ = canonical_form(Graph(g.n + 1, rows + [mask]))
+            seen.setdefault(canon.adj, canon)
+    return [seen[key] for key in sorted(seen)]
 
 
 def covering_oracle(g: Graph, k: int, q: bool = False):

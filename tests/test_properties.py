@@ -18,7 +18,14 @@ from conftest import (
     random_graph,
 )
 
-from trifree.families import andrasfai, cayley_6k, fig41, haggkvist_spec, vega
+from trifree.families import (
+    InternalConsistencyError,
+    andrasfai,
+    cayley_6k,
+    fig41,
+    haggkvist_spec,
+    vega,
+)
 from trifree.graph import BlowupSpec, Graph, _bits, blowup, from_edge_list, quotient
 import trifree.properties as properties_module
 from trifree.properties import (
@@ -425,3 +432,14 @@ def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
     # delta <= n/3, so the all-ones certificate fails and the simplex runs
     assert check_d(vega(2, 0, 0)[0], 4).certificate is not None
     assert calls == 1
+
+
+def test_a_bad_lifted_witness_is_refused(monkeypatch):
+    def bad_search(g, m, *args, **kwargs):  # all weight on one vertex
+        return (3 * m,) + (0,) * (g.n - 1)
+
+    monkeypatch.setattr(properties_module, "_coverage_search", bad_search)
+    host = blowup(BlowupSpec(cayley_6k(7), (2,) + (1,) * 41))
+    for checker in (check_d, check_q):
+        with pytest.raises(InternalConsistencyError, match="re-validation"):
+            checker(host, 4)

@@ -5,16 +5,35 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from conftest import brute_force_maximal_tf, extremal_oracle, nx_independence_number
+from conftest import (
+    attach_oracle,
+    brute_force_maximal_tf,
+    extremal_oracle,
+    nx_independence_number,
+)
 
 from trifree.families import AndrasfaiId, VegaId, andrasfai
 from trifree.formats import write_graph6
-from trifree.graph import BlowupSpec, Graph, blowup, canonical_form, isomorphic
+from trifree.graph import (
+    BlowupSpec,
+    Graph,
+    Permutation,
+    _independent_masks,
+    automorphism_order,
+    blowup,
+    canonical_form,
+    from_edge_list,
+    isomorphic,
+    relabel,
+)
 from trifree.properties import is_maximal_triangle_free, is_triangle_free
 import trifree.search as search_module
+from trifree.verify import _close_group
 from trifree.search import (
     CensusRow,
     ResourceGuardError,
+    _maximal_independent_sets,
+    _saturating_masks,
     _tf_graphs,
     census,
     census_row,
@@ -84,24 +103,66 @@ def test_enumeration_matches_filtered_level(n):
     assert enumerate_maximal_tf(n) == reference
 
 
+def test_levels_and_maximal_steps_match_the_dedup_oracle():
+    # canonical augmentation gives what deduplicating every candidate by
+    # canonical form gives: the same graphs, in the same order
+    level = [Graph(1, [0])]
+    for n in range(2, 10):
+        assert enumerate_maximal_tf(n) == attach_oracle(level, _saturating_masks)
+        if n <= 8:
+            level = attach_oracle(level, _independent_masks)
+            assert _tf_graphs(n) == level
+
+
+def test_stored_generators_generate_the_automorphism_group():
+    _tf_graphs(7)
+    for n in range(1, 8):
+        for g, gens in search_module._tf_levels[n]:
+            for a in gens:
+                assert relabel(g, Permutation(a)) == g
+            assert _close_group(n, gens) == automorphism_order(g)
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    calls = [0]
+    original = search_module.canonical_labeling
+
+    def counted(g):
+        calls[0] += 1
+        return original(g)
+
+    monkeypatch.setattr(search_module, "canonical_labeling", counted)
+    return calls
+
+
+def test_canonical_searches_per_level_are_pinned(monkeypatch):
+    # one search per candidate that survives orbit pruning and the degree
+    # filter: level 9 keeps 1897 of 3062 (24,149 masks before pruning)
+    _tf_graphs(8)
+    monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:9])
+    calls = _count_searches(monkeypatch)
+    assert len(_tf_graphs(9)) == 1897
+    assert 1897 <= calls[0] <= 3100
+    calls[0] = 0
+    assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
+    assert 31 <= calls[0] <= 50
+
+
 def test_maximal_step_never_builds_the_full_level(monkeypatch):
     _tf_graphs(9)
     parents = len(search_module._tf_levels[9])
     monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:10])
-    calls = 0
-    original = search_module.canonical_form
-
-    def counted(g):
-        nonlocal calls
-        calls += 1
-        return original(g)
-
-    monkeypatch.setattr(search_module, "canonical_form", counted)
+    calls = _count_searches(monkeypatch)
     assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
     # recomputed from level 9, with fewer candidates than level 9 has graphs
     assert parents == 1897
-    assert 0 < calls < parents
+    assert 0 < calls[0] < parents
     assert len(search_module._tf_levels) == 10
+
+
+def test_maximal_independent_sets_of_a_large_star():
+    star = from_edge_list(1000, [(0, v) for v in range(1, 1000)])
+    assert sorted(_maximal_independent_sets(star)) == [1, (1 << 1000) - 2]
 
 
 def test_enumeration_is_deterministic():

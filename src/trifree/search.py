@@ -98,7 +98,9 @@ class ExtremalResult:
     witnesses: tuple[BlowupSpec, ...]
 
 
-_tf_levels = [[], [(Graph(1, [0]), [])]]  # triangle-free, canonical, by order, with Aut generators
+Level = list[tuple[Graph, list[tuple[int, ...]]]]  # canonical graphs, each with Aut generators
+
+_tf_levels: list[Level] = [[], [(Graph(1, [0]), [])]]  # triangle-free, by order
 
 
 def _mask_orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
@@ -114,7 +116,7 @@ def _mask_orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _attach(level, masks_of: Callable[[Graph], Iterable[int]]):
+def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]]) -> Level:
     """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g):
     one per isomorphism class by canonical augmentation, canonical, sorted,
     and paired with Aut generators as the graphs of ``level`` are."""
@@ -132,13 +134,14 @@ def _attach(level, masks_of: Callable[[Graph], Iterable[int]]):
             rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
             h = Graph(g.n + 1, rows + [mask])
             p, qpos, autos, _ = canonical_labeling(h)
+            # the canonical vertex: least degree, then first in canonical order
             degree = [h.adj[cls[0]].bit_count() for cls in p.classes]
             first = min(range(len(degree)), key=lambda i: (degree[i], qpos[i]))
             mine = next(i for i, cls in enumerate(p.classes) if cls[-1] == g.n)
             if mine not in _orbit((first,), autos):
                 continue
             canon, perm = canonical_relabel(h, p, qpos)
-            inv = perm.inverse().map
+            inv = perm.inverse().map  # carry Aut(h) onto the canonical labels
             out.append((canon, [tuple(perm.map[a[u]] for u in inv)
                                 for a in automorphism_generators(p, autos)]))
     out.sort(key=lambda pair: pair[0].adj)
@@ -176,7 +179,7 @@ def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
     if n < 2:
         raise ValueError(f"order must be at least 2, got {n}")
     _guard(n, allow_large)
-    _tf_graphs(n - 1)
+    _tf_graphs(n - 1)  # builds the levels below
     return [g for g, _ in _attach(_tf_levels[n - 1], _saturating_masks)]
 
 

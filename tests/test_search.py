@@ -28,7 +28,6 @@ from trifree.graph import (
 )
 from trifree.properties import is_maximal_triangle_free, is_triangle_free
 import trifree.search as search_module
-from trifree.verify import _close_group
 from trifree.search import (
     CensusRow,
     ResourceGuardError,
@@ -42,6 +41,7 @@ from trifree.search import (
     hunt_conjecture,
     search_extremal,
 )
+from trifree.verify import _close_group
 
 GOLDEN_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 4, 7: 6, 8: 10, 9: 16, 10: 31}
 

@@ -34,7 +34,6 @@ from .graph import BlowupSpec, Graph, blowup
 from .properties import (
     check_d,
     check_q,
-    degree_profile,
     independence_number,
     is_maximal_triangle_free,
     is_triangle_free,
@@ -179,13 +178,13 @@ def _cmd_check(args) -> int:
         code = EXIT_OK if result.holds else EXIT_FAIL
     elif args.alpha:
         value, members = independence_number(g)
-        profile = degree_profile(g)
+        degrees = g.degree_sequence()
         payload["property"] = "independence_number"
         payload["verdict"] = {
             "alpha": value,
             "maximum_independent_set": list(members),
-            "min_degree": profile.min_degree,
-            "max_degree": profile.max_degree,
+            "min_degree": degrees[0],
+            "max_degree": degrees[-1],
         }
     else:
         level = args.d if args.d is not None else args.q

@@ -19,7 +19,6 @@ from .graph import (
     BlowupSpec,
     ConstructionError,
     Graph,
-    Permutation,
     check_order,
     from_edge_list,
     relabel,
@@ -290,7 +289,7 @@ class NamedMap:
     name: str
     source: VegaId
     target: VegaId
-    perm: Permutation
+    perm: tuple[int, ...]
 
 
 _EXCEPTIONAL = {
@@ -316,7 +315,7 @@ def _map_from_labels(name, src: VegaId, dst: VegaId, label_map) -> NamedMap:
     images = [0] * sg.n
     for label, pos in _label_items(slab):
         images[pos] = target_pos[label_map(label)]
-    perm = Permutation(tuple(images))
+    perm = tuple(images)
     if relabel(sg, perm) != tg:
         raise InternalConsistencyError(f"map {name} on {src} failed validation")
     return NamedMap(name, src, dst, perm)
@@ -382,8 +381,6 @@ class AuxPath:
     """
 
     labels: tuple[int, int, int, int]
-    positions: tuple[int, int, int, int]
-    colour: str
     copy: tuple[int, ...]
 
 
@@ -429,8 +426,7 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
     out = []
     for quad in sorted(quads):
         phi, chi1, chi2 = (lab.colour_of_label(q) for q in quad[:3])
-        positions = tuple(lab.inner_map[q] for q in quad)
-        p0, p1, p2, p3 = positions
+        p0, p1, p2, p3 = (lab.inner_map[q] for q in quad)
         images = (  # of a_0..a_4, b_0..b_4, c
             pos[_SECOND[chi1]], p0, p3, pos[_SECOND[chi2]], pos["x"],
             p2, pos[_FIRST[chi1]], pos[_FIRST[chi2]], p1, pos[_SECOND[phi]],
@@ -442,7 +438,7 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
                     raise InternalConsistencyError(
                         f"copy of path {list(quad)} is not induced at pattern pair ({s}, {t})"
                     )
-        out.append(AuxPath(quad, positions, phi, images))
+        out.append(AuxPath(quad, images))
     return out
 
 

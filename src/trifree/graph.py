@@ -81,27 +81,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection on 0..n-1, stored as the image list."""
-
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.map) != list(range(len(self.map))):
-            raise ConstructionError("permutation image list is not a bijection")
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for v, img in enumerate(self.map):
-            inv[img] = v
-        return Permutation(tuple(inv))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """The composition applying self first, then other."""
-        return Permutation(tuple(other.map[img] for img in self.map))
-
-
-@dataclass(frozen=True)
 class TwinPartition:
     """Vertex classes with identical neighbourhood rows."""
 
@@ -125,10 +104,6 @@ class BlowupSpec:
             raise ConstructionError("one weight per base vertex required")
         if any(w < 1 for w in self.weights):
             raise ConstructionError("blow-up weights must be positive")
-
-    @property
-    def expanded_order(self) -> int:
-        return sum(self.weights)
 
 
 # -- construction ------------------------------------------------------
@@ -161,17 +136,30 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
-def relabel(g: Graph, perm: Permutation) -> Graph:
-    """The graph with vertex v renamed to perm.map[v]."""
-    if len(perm.map) != g.n:
-        raise ContractViolation("permutation length differs from graph order")
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """The graph with vertex v renamed to perm[v].
+
+    The one check that `perm` is a bijection on 0..n-1: `isomorphic` and
+    `families.named_map` rely on it, since equal rows alone do not rule out
+    two isolated vertices sent to one.
+    """
+    if sorted(perm) != list(range(g.n)):
+        raise ContractViolation("permutation is not a bijection on the graph's vertices")
     rows = [0] * g.n
     for v in range(g.n):
         row = 0
         for u in _bits(g.adj[v]):
-            row |= 1 << perm.map[u]
-        rows[perm.map[v]] = row
+            row |= 1 << perm[u]
+        rows[perm[v]] = row
     return Graph(g.n, rows)
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse of the bijection perm on 0..len(perm)-1."""
+    inv = [0] * len(perm)
+    for v, img in enumerate(perm):
+        inv[img] = v
+    return inv
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -246,9 +234,7 @@ def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
 
 def _leaf_key(rows: Sequence[int], n: int, position: Sequence[int]) -> tuple[int, ...]:
     """Adjacency matrix of the relabeled graph, one int per row, row-major bits."""
-    inv = [0] * n
-    for v, p in enumerate(position):
-        inv[p] = v
+    inv = _inverse(position)
     key = []
     for p in range(n):
         bits = 0
@@ -301,9 +287,7 @@ def _canonical_search(
         key = _leaf_key(rows, n, position)
         for ref in (first, best):
             if ref is not None and ref[0] == key and ref[1] != tuple(position):
-                ref_inv = [0] * n
-                for v, p in enumerate(ref[1]):
-                    ref_inv[p] = v
+                ref_inv = _inverse(ref[1])
                 auto = tuple(ref_inv[p] for p in position)
                 if auto not in autos:
                     autos.append(auto)
@@ -364,7 +348,7 @@ def blowup(spec: BlowupSpec) -> Graph:
     Blocks are numbered consecutively in base-vertex order and each base edge
     becomes a complete bipartite bundle.
     """
-    total = spec.expanded_order
+    total = sum(spec.weights)
     check_order(total)
     offsets = [0] * spec.base.n
     acc = 0
@@ -403,18 +387,18 @@ def canonical_labeling(
 
 def canonical_relabel(
     g: Graph, p: TwinPartition, qpos: Sequence[int]
-) -> tuple[Graph, Permutation]:
+) -> tuple[Graph, tuple[int, ...]]:
     """The canonical graph of a `canonical_labeling` result: each class a
     consecutive block in canonical quotient order, members in increasing order."""
     position = [0] * g.n
     by_position = sorted(range(len(qpos)), key=qpos.__getitem__)
     for label, v in enumerate(v for i in by_position for v in p.classes[i]):
         position[v] = label
-    perm = Permutation(tuple(position))
+    perm = tuple(position)
     return relabel(g, perm), perm
 
 
-def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
+def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """An isomorphism-invariant relabeling: equal forms iff isomorphic graphs.
 
     Twin classes are collapsed first and the size-colored quotient is
@@ -426,11 +410,12 @@ def canonical_form(g: Graph) -> tuple[Graph, Permutation]:
     return canonical_relabel(g, p, qpos)
 
 
-def isomorphic(g: Graph, h: Graph) -> Optional[Permutation]:
-    """A vertex bijection carrying g onto h exactly, or None.
+def isomorphic(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
+    """A vertex bijection carrying g onto h exactly, as its image list, or None.
 
     Computed by comparing canonical forms, so the answer is deterministic;
-    the returned permutation is re-verified edge-by-edge before returning.
+    the returned permutation is re-verified by `relabel`, which also checks
+    that it is a bijection, before returning.
     """
     if g.n != h.n or g.degree_sequence() != h.degree_sequence():
         return None
@@ -438,7 +423,8 @@ def isomorphic(g: Graph, h: Graph) -> Optional[Permutation]:
     ch, ph = canonical_form(h)
     if cg != ch:
         return None
-    perm = pg.then(ph.inverse())
+    inv_h = _inverse(ph)
+    perm = tuple(inv_h[img] for img in pg)
     if relabel(g, perm) != h:
         raise ContractViolation("canonical forms matched but permutation failed re-check")
     return perm

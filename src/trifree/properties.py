@@ -60,13 +60,6 @@ class MaximalityResult:
     missing_pair: Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    min_degree: int
-    max_degree: int
-
-
 def is_triangle_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """True plus None, or False plus the lexicographically least triangle."""
     for u in range(g.n):
@@ -90,11 +83,6 @@ def is_maximal_triangle_free(g: Graph) -> MaximalityResult:
             if not g.has_edge(u, v) and not (g.adj[u] & g.adj[v]):
                 return MaximalityResult(False, None, (u, v))
     return MaximalityResult(True, None, None)
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    degs = tuple(sorted(g.adj[v].bit_count() for v in range(g.n)))
-    return DegreeProfile(degs, degs[0], degs[-1])
 
 
 def weighted_coverage(g: Graph, weights: tuple[int, ...]) -> tuple[int, ...]:

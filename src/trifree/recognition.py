@@ -108,8 +108,8 @@ def match_template(
             continue
         weights = [0] * template.n
         for cls_index, members in enumerate(partition.classes):
-            weights[perm.map[cls_index]] = len(members)
-        return RecognitionCertificate(family, perm.map, tuple(weights))
+            weights[perm[cls_index]] = len(members)
+        return RecognitionCertificate(family, perm, tuple(weights))
     return None
 
 

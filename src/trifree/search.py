@@ -38,6 +38,7 @@ from .graph import (
     Graph,
     _bits,
     _independent_masks,
+    _inverse,
     _orbit,
     automorphism_generators,
     blowup,
@@ -141,8 +142,8 @@ def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]]) -> Level:
             if mine not in _orbit((first,), autos):
                 continue
             canon, perm = canonical_relabel(h, p, qpos)
-            inv = perm.inverse().map  # carry Aut(h) onto the canonical labels
-            out.append((canon, [tuple(perm.map[a[u]] for u in inv)
+            inv = _inverse(perm)  # carry Aut(h) onto the canonical labels
+            out.append((canon, [tuple(perm[a[u]] for u in inv)
                                 for a in automorphism_generators(p, autos)]))
     out.sort(key=lambda pair: pair[0].adj)
     return out

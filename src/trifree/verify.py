@@ -74,24 +74,6 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ExtSet:
-    """Common neighbours of a_{i-1}, a_{i+1}, b_i for an embedded copy."""
-
-    index: int
-    vertices: tuple[int, ...]
-
-    @property
-    def reliable(self) -> bool:
-        return not self.vertices
-
-
-def ext_set(host: Graph, e: tuple[int, ...], i: int) -> ExtSet:
-    """The extension set at outer index i of the 11-vertex pattern copy e."""
-    mask = host.adj[e[(i - 1) % 5]] & host.adj[e[(i + 1) % 5]] & host.adj[e[5 + i]]
-    return ExtSet(i, tuple(_bits(mask)))
-
-
 def _fail(graph: Graph, **context) -> dict:
     payload = {"graph": write_elist(graph)}
     payload.update(context)
@@ -382,7 +364,7 @@ def _check_automorphisms():
         if total != want:
             return False, _fail(g, i=i, mu=mu, nu=nu, order=total, expected=want), {}
         maps = named_maps(i, mu, nu)
-        generators = [m.perm.map for m in maps if m.source == m.target]
+        generators = [m.perm for m in maps if m.source == m.target]
         generated = _close_group(g.n, generators)
         if generated != want:
             return False, _fail(

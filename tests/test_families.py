@@ -11,6 +11,7 @@ from trifree.families import (
     AndrasfaiId,
     UnavailableMapError,
     VegaId,
+    _map_from_labels,
     andrasfai,
     aux_paths,
     cayley_6k,
@@ -26,6 +27,7 @@ from trifree.families import (
 )
 from trifree.graph import (
     ConstructionError,
+    ContractViolation,
     blowup,
     find_induced,
     from_edge_list,
@@ -34,7 +36,6 @@ from trifree.graph import (
     twin_partition,
 )
 from trifree.properties import (
-    degree_profile,
     independence_number,
     is_maximal_triangle_free,
     is_triangle_free,
@@ -53,7 +54,7 @@ def is_twin_free(g) -> bool:
 def test_circulant_family_shape(k):
     g = andrasfai(k)
     assert g.n == 3 * k - 1
-    assert degree_profile(g).degrees == (k,) * g.n
+    assert g.degree_sequence() == (k,) * g.n
     assert is_maximal_triangle_free(g).holds
     assert is_twin_free(g)
     assert g.n < 6 or find_induced(g, cycle(6)) is None
@@ -148,6 +149,13 @@ def test_named_map_availability():
         named_map(3, 0, 0, "zeta")
 
 
+def test_a_label_map_that_is_not_a_bijection_is_refused():
+    # sends both a and b to a; relabel's bijection check refuses the map
+    ident = VegaId(2, 0, 0)
+    with pytest.raises(ContractViolation):
+        _map_from_labels("collapse", ident, ident, lambda s: "a" if s == "b" else s)
+
+
 def test_named_maps_cover_expected_sets():
     assert {m.name for m in named_maps(3, 0, 0)} == {"sigma", "tau0"}
     assert {m.name for m in named_maps(3, 1, 1)} == {"tau1"}
@@ -158,7 +166,7 @@ def test_rho_is_an_involution_on_symmetric_members():
     for mu in (0, 1):
         rho = named_map(2, mu, mu, "rho")
         assert rho.source == rho.target
-        composed = tuple(rho.perm.map[rho.perm.map[v]] for v in range(len(rho.perm.map)))
+        composed = tuple(rho.perm[rho.perm[v]] for v in range(len(rho.perm)))
         assert composed == tuple(range(len(composed)))
 
 
@@ -194,7 +202,7 @@ def test_mycielski_fixture():
 def test_cube_fixture():
     g = cube()
     assert g.n == 8 and g.edge_count == 12
-    assert degree_profile(g).degrees == (3,) * 8
+    assert g.degree_sequence() == (3,) * 8
     assert is_triangle_free(g)[0]
     assert not is_maximal_triangle_free(g).holds  # antipodal pairs stay open
     assert nx.is_bipartite(to_nx(g))
@@ -207,14 +215,14 @@ def test_graph_n_fixture():
     g = graph_n()
     assert g.n == 9
     assert is_triangle_free(g)[0]
-    assert sorted(degree_profile(g).degrees) == [2, 2, 2, 3, 3, 3, 3, 3, 3]
+    assert sorted(g.degree_sequence()) == [2, 2, 2, 3, 3, 3, 3, 3, 3]
 
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_cayley_family_shape(k):
     g = cayley_6k(k)
     assert g.n == 6 * k
-    degrees = set(degree_profile(g).degrees)
+    degrees = set(g.degree_sequence())
     assert len(degrees) == 1  # vertex-transitive circulant
     assert is_triangle_free(g)[0]
     assert find_induced(g, cycle(6)) is not None
@@ -231,7 +239,7 @@ def test_cayley_rejects_bad_index(monkeypatch):
 def test_counterexample_fixture():
     g = fig41()
     assert g.n == 12
-    assert degree_profile(g).degrees == (4,) * 12
+    assert g.degree_sequence() == (4,) * 12
     assert is_triangle_free(g)[0]
     assert independence_number(g)[0] == 4
 
@@ -239,9 +247,9 @@ def test_counterexample_fixture():
 def test_haggkvist_expansion():
     spec = haggkvist_spec()
     assert isomorphic(spec.base, mycielski_grotzsch()[0]) is not None
-    assert spec.expanded_order == 29
+    assert sum(spec.weights) == 29
     big = blowup(spec)
-    assert degree_profile(big).degrees == (10,) * 29
+    assert big.degree_sequence() == (10,) * 29
     assert is_maximal_triangle_free(big).holds
 
 

@@ -14,6 +14,7 @@ from trifree import families
 from trifree.graph import (
     BlowupSpec,
     ConstructionError,
+    ContractViolation,
     Graph,
     automorphism_order,
     blowup,
@@ -25,7 +26,6 @@ from trifree.graph import (
     has_twin_property,
     induced_subgraph,
     isomorphic,
-    Permutation,
     quotient,
     relabel,
     twin_partition,
@@ -65,10 +65,14 @@ def test_construction_rejects_bad_edges():
 
 def test_relabel_and_induced_subgraph():
     g = path(4)
-    h = relabel(g, Permutation((3, 2, 1, 0)))
+    h = relabel(g, (3, 2, 1, 0))
     assert list(h.edges()) == [(0, 1), (1, 2), (2, 3)]
     sub = induced_subgraph(g, [1, 2, 3])
     assert sub.n == 3 and list(sub.edges()) == [(0, 1), (1, 2)]
+    # relabel is the one bijection check: a repeated image, a short map
+    for bad in ((0, 0, 1), (0, 1)):
+        with pytest.raises(ContractViolation):
+            relabel(path(3), bad)
 
 
 def test_isomorphic_equivalence_and_canonical_form():
@@ -79,7 +83,7 @@ def test_isomorphic_equivalence_and_canonical_form():
         assert perm is not None  # reflexive
         shuffled = list(range(g.n))
         rng.shuffle(shuffled)
-        h = relabel(g, Permutation(tuple(shuffled)))
+        h = relabel(g, tuple(shuffled))
         assert isomorphic(g, h) is not None and isomorphic(h, g) is not None
         assert canonical_form(g)[0].adj == canonical_form(h)[0].adj
 
@@ -90,11 +94,11 @@ def test_isomorphic_permutations_are_exact():
         g = random_graph(rng, rng.randint(2, 9))
         order = list(range(g.n))
         rng.shuffle(order)
-        h = relabel(g, Permutation(tuple(order)))
+        h = relabel(g, tuple(order))
         perm = isomorphic(g, h)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                assert g.has_edge(u, v) == h.has_edge(perm.map[u], perm.map[v])
+                assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
 
 
 def test_non_isomorphic_pairs():
@@ -140,7 +144,7 @@ def test_find_induced_on_quotient_matches_direct_search():
         host = blowup(BlowupSpec(base, weights))
         shuffled = list(range(host.n))
         rng.shuffle(shuffled)
-        host = relabel(host, Permutation(tuple(shuffled)))
+        host = relabel(host, tuple(shuffled))
         # path(3) and cycle(4) have twins and take the direct search
         for pattern in patterns + [base]:
             assert find_induced(host, pattern) == next(find_induced_all(host, pattern), None)
@@ -199,7 +203,7 @@ def test_internal_producers_build_valid_rows():
             big = blowup(BlowupSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n))))
             shuffle = list(range(big.n))
             rng.shuffle(shuffle)
-            hosts.append(relabel(big, Permutation(tuple(shuffle))))
+            hosts.append(relabel(big, tuple(shuffle)))
     hosts += _tf_graphs(8)
     hosts += [g for n in range(2, 11) for g in enumerate_maximal_tf(n)]
     for g in hosts:
@@ -209,7 +213,7 @@ def test_internal_producers_build_valid_rows():
         weights = tuple(rng.randint(1, 2) for _ in range(g.n))
         for h in (
             g,
-            relabel(g, Permutation(tuple(perm))),
+            relabel(g, tuple(perm)),
             induced_subgraph(g, keep),
             quotient(g)[1],
             blowup(BlowupSpec(g, weights)),
@@ -289,7 +293,7 @@ def test_twin_property_on_representatives_matches_every_copy():
         host = blowup(BlowupSpec(base, weights))
         shuffled = list(range(host.n))
         rng.shuffle(shuffled)
-        host = relabel(host, Permutation(tuple(shuffled)))
+        host = relabel(host, tuple(shuffled))
         for pattern in patterns:
             edges = list(pattern.edges())
             for e in (None, rng.choice(edges)):

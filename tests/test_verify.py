@@ -11,15 +11,14 @@ import trifree.families as families_module
 import trifree.graph as graph_module
 import trifree.verify as verify_module
 from trifree.cli import main
-from trifree.families import aux_paths, mycielski_grotzsch, vega
+from trifree.families import aux_paths, mycielski_grotzsch
 from trifree.formats import parse_elist
-from trifree.graph import Graph, find_induced_all, twin_partition
+from trifree.graph import Graph, twin_partition
 from trifree.verify import (
     SEEDS,
     _REGISTRY,
     _nine_vertex_assert,
     check_names,
-    ext_set,
     run_check,
 )
 
@@ -158,18 +157,3 @@ def test_failure_payload_revalidates():
     again = _nine_vertex_assert(rebuilt, tuple(payload["embedding"]))
     assert again is not None
     assert again["index"] == payload["index"]
-
-
-def test_ext_sets_are_inside_the_missing_neighborhood():
-    pattern = mycielski_grotzsch()[0]
-    for i_param in (2, 3):
-        host = vega(i_param, 0, 0)[0]
-        for emb in find_induced_all(host, pattern):
-            for outer in range(5):
-                ext = ext_set(host, emb, outer)
-                for q in ext.vertices:
-                    assert host.has_edge(q, emb[(outer - 1) % 5])
-                    assert host.has_edge(q, emb[(outer + 1) % 5])
-                    assert host.has_edge(q, emb[5 + outer])
-                    assert host.has_edge(q, emb[outer])  # the lemma's content
-                assert ext.reliable == (not ext.vertices)

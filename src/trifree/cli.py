@@ -39,7 +39,14 @@ from .properties import (
     is_triangle_free,
 )
 from .recognition import RecognitionCertificate, recognize
-from .search import CensusError, ResourceGuardError, census, hunt_conjecture, search_extremal
+from .search import (
+    EXTREMAL_MAX_ORDER,
+    CensusError,
+    ResourceGuardError,
+    census,
+    hunt_conjecture,
+    search_extremal,
+)
 from .verify import check_names, run_all, run_check
 
 EXIT_OK = 0
@@ -414,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--search", action="store_true",
                    help="also search template blow-ups for attaining weightings")
-    p.add_argument("--max-order", type=int, default=30,
-                   help="largest order n the search accepts (default 30); "
+    p.add_argument("--max-order", type=int, default=EXTREMAL_MAX_ORDER,
+                   help="largest order n the search accepts (default %(default)s); "
                         "a larger n exits 3")
     _add_io(p, graph_input=False)
     p.set_defaults(handler=_cmd_extremal)

@@ -13,12 +13,13 @@ Vertex numbering is fixed so that permutations and golden values are stable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .graph import (
     BlowupSpec,
     ConstructionError,
     Graph,
+    _bits,
     check_order,
     from_edge_list,
     relabel,
@@ -58,19 +59,20 @@ class VegaId:
         return 3 * self.i + 7 - self.mu - self.nu
 
 
-def andrasfai(k: int) -> Graph:
-    """The k-regular circulant on 3k-1 vertices with connection set k..2k-1."""
+def _circulant(n: int, k: int, connection: Sequence[range]) -> Graph:
+    """The circulant on n vertices whose distances, the union of the lazy
+    `connection` ranges inside 1..n-1, are closed under negation mod n: each
+    edge {u, u + d} is listed once, with u + d < n, after the order check."""
     if k < 1:
         raise ConstructionError(f"family index must be >= 1, got {k}")
-    n = 3 * k - 1
     check_order(n)
-    edges = [
-        (u, (u + d) % n)
-        for u in range(n)
-        for d in range(k, 2 * k)
-        if u < (u + d) % n
-    ]
+    edges = [(u, u + d) for span in connection for d in span for u in range(n - d)]
     return from_edge_list(n, edges)
+
+
+def andrasfai(k: int) -> Graph:
+    """The k-regular circulant on 3k-1 vertices with connection set k..2k-1."""
+    return _circulant(3 * k - 1, k, [range(k, 2 * k)])
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ def mycielski_grotzsch() -> tuple[Graph, UpsilonLabeling]:
         edges.append((a[i], b[(i + 2) % 5]))
         edges.append((a[i], b[(i - 2) % 5]))
         edges.append((b[i], b[(i + 2) % 5]))
-    dedup = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    return from_edge_list(11, dedup), UpsilonLabeling(a, b, c)
+    return from_edge_list(11, edges), UpsilonLabeling(a, b, c)
 
 
 @dataclass(frozen=True)
@@ -130,23 +131,29 @@ class VegaLabeling:
         return pos
 
     def colour_of_label(self, label: int) -> str:
-        if label < self.i:
-            return "red"
-        if label < 2 * self.i:
-            return "green"
-        return "blue"
+        return _colour(self.i, label)
+
+    def labels(self) -> Iterator[tuple[int | str, int]]:
+        """(label, position) per vertex: inner labels in order, then a, b, c, u, v, w, x, y."""
+        for j, pos in enumerate(self.inner_map):
+            if pos >= 0:
+                yield j, pos
+        for name in "abcuvwxy":
+            pos = getattr(self, name)
+            if pos is not None:
+                yield name, pos
 
     def names(self) -> dict[int, str]:
         """Position -> display name, for reports and DOT export."""
-        out = {}
-        for j, pos in enumerate(self.inner_map):
-            if pos >= 0:
-                out[pos] = str(j)
-        for name in ("a", "b", "c", "u", "v", "w", "x"):
-            out[getattr(self, name)] = name
-        if self.y is not None:
-            out[self.y] = "y"
-        return out
+        return {pos: str(label) for label, pos in self.labels()}
+
+
+_HUBS = {"red": "au", "green": "bv", "blue": "cw"}  # hexagon vertices that see each colour
+
+
+def _colour(i: int, label: int) -> str:
+    """The colour class of inner label j: red below i, green below 2i, else blue."""
+    return ("red", "green", "blue")[label // i]
 
 
 def vega(i: int, mu: int, nu: int) -> tuple[Graph, VegaLabeling]:
@@ -160,43 +167,12 @@ def vega(i: int, mu: int, nu: int) -> tuple[Graph, VegaLabeling]:
     ident = VegaId(i, mu, nu)
     check_order(ident.order)
     ninner = 3 * i - 1
-    deleted = 2 * i - 1 if nu else -1
-    inner_map = []
-    pos = 0
-    for j in range(ninner):
-        if j == deleted:
-            inner_map.append(-1)
-        else:
-            inner_map.append(pos)
-            pos += 1
-    base = pos
+    deleted = 2 * i - 1 if nu else ninner
+    inner_map = [-1 if j == deleted else j - (j > deleted) for j in range(ninner)]
+    alive = [(pos, _colour(i, j)) for j, pos in enumerate(inner_map) if pos >= 0]
+    base = ninner - nu
     a, v, c, u, b, w, x = range(base, base + 7)
     y = base + 7 if mu == 0 else None
-
-    edges = []
-    for j in range(ninner):
-        if inner_map[j] < 0:
-            continue
-        for d in range(i, 2 * i):
-            l = (j + d) % ninner
-            if inner_map[l] < 0 or not j < l:
-                continue
-            edges.append((inner_map[j], inner_map[l]))
-    for j in range(ninner):
-        if inner_map[j] < 0:
-            continue
-        if j < i:
-            edges += [(a, inner_map[j]), (u, inner_map[j])]
-        elif j < 2 * i:
-            edges += [(b, inner_map[j]), (v, inner_map[j])]
-        else:
-            edges += [(c, inner_map[j]), (w, inner_map[j])]
-    edges += [(a, v), (v, c), (c, u), (u, b), (b, w), (w, a)]
-    edges += [(x, a), (x, b), (x, c)]
-    if y is not None:
-        edges += [(y, u), (y, v), (y, w), (y, x)]
-
-    graph = from_edge_list(ident.order, edges)
     labeling = VegaLabeling(
         i=i,
         mu=mu,
@@ -210,11 +186,23 @@ def vega(i: int, mu: int, nu: int) -> tuple[Graph, VegaLabeling]:
         w=w,
         x=x,
         y=y,
-        red=tuple(inner_map[j] for j in range(i)),
-        green=tuple(inner_map[j] for j in range(i, 2 * i) if inner_map[j] >= 0),
-        blue=tuple(inner_map[j] for j in range(2 * i, ninner)),
+        red=tuple(pos for pos, colour in alive if colour == "red"),
+        green=tuple(pos for pos, colour in alive if colour == "green"),
+        blue=tuple(pos for pos, colour in alive if colour == "blue"),
         hexagon=(a, v, c, u, b, w),
     )
+
+    edges = [(getattr(labeling, name), pos) for pos, colour in alive for name in _HUBS[colour]]
+    edges += [(a, v), (v, c), (c, u), (u, b), (b, w), (w, a)]
+    edges += [(x, a), (x, b), (x, c)]
+    if y is not None:
+        edges += [(y, u), (y, v), (y, w), (y, x)]
+
+    # andrasfai(i)'s rows, minus the deleted label's bit, with the bits above it moved down
+    low = (1 << deleted) - 1
+    inner = [row & low | row >> 1 & ~low for j, row in enumerate(andrasfai(i).adj) if j != deleted]
+    outer = from_edge_list(ident.order, edges).adj
+    graph = Graph(ident.order, [row | inner[p] if p < base else row for p, row in enumerate(outer)])
     return graph, labeling
 
 
@@ -238,18 +226,7 @@ def graph_n() -> Graph:
 
 def cayley_6k(k: int) -> Graph:
     """The circulant on 6k vertices with connection set +-{k..2k-1}."""
-    if k < 1:
-        raise ConstructionError(f"family index must be >= 1, got {k}")
-    n = 6 * k
-    check_order(n)
-    edges = sorted(
-        {
-            (min(u, (u + d) % n), max(u, (u + d) % n))
-            for u in range(n)
-            for d in range(k, 2 * k)
-        }
-    )
-    return from_edge_list(n, edges)
+    return _circulant(6 * k, k, [range(k, 2 * k), range(4 * k + 1, 5 * k + 1)])
 
 
 def fig41() -> Graph:
@@ -298,22 +275,12 @@ _EXCEPTIONAL = {
 }
 
 
-def _label_items(lab: VegaLabeling):
-    for j, pos in enumerate(lab.inner_map):
-        if pos >= 0:
-            yield j, pos
-    for name in ("a", "b", "c", "u", "v", "w", "x"):
-        yield name, getattr(lab, name)
-    if lab.y is not None:
-        yield "y", lab.y
-
-
 def _map_from_labels(name, src: VegaId, dst: VegaId, label_map) -> NamedMap:
     sg, slab = vega(src.i, src.mu, src.nu)
     tg, tlab = vega(dst.i, dst.mu, dst.nu)
-    target_pos = dict(_label_items(tlab))
+    target_pos = dict(tlab.labels())
     images = [0] * sg.n
-    for label, pos in _label_items(slab):
+    for label, pos in slab.labels():
         images[pos] = target_pos[label_map(label)]
     perm = tuple(images)
     if relabel(sg, perm) != tg:
@@ -384,10 +351,6 @@ class AuxPath:
     copy: tuple[int, ...]
 
 
-_FIRST = {"red": "a", "green": "b", "blue": "c"}
-_SECOND = {"red": "u", "green": "v", "blue": "w"}
-
-
 def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
     """Every monochromatic-endpoint path of length three in the inner circulant.
 
@@ -402,35 +365,29 @@ def aux_paths(i: int, mu: int, nu: int) -> list[AuxPath]:
     """
     graph, lab = vega(i, mu, nu)
     pattern = mycielski_grotzsch()[0]
-    ninner = 3 * i - 1
-    alive = [j for j in range(ninner) if lab.inner_map[j] >= 0]
+    pos = dict(lab.labels())
+    inner = {p: j for j, p in pos.items() if isinstance(j, int)}  # position -> inner label
     adj = {
-        j: [
-            l for l in alive
-            if (j - l) % ninner in range(i, 2 * i) or (l - j) % ninner in range(i, 2 * i)
-        ]
-        for j in alive
+        j: [inner[q] for q in _bits(graph.adj[p]) if q in inner]
+        for p, j in inner.items()
     }
-    quads = []
-    for p0 in alive:
-        for p1 in adj[p0]:
-            for p2 in adj[p1]:
-                if p2 in (p0, p1):
-                    continue
-                for p3 in adj[p2]:
-                    if p3 in (p0, p1, p2) or p3 < p0:
-                        continue
-                    if lab.colour_of_label(p0) == lab.colour_of_label(p3):
-                        quads.append((p0, p1, p2, p3))
-    pos = {name: getattr(lab, name) for name in ("a", "b", "c", "u", "v", "w", "x")}
+    quads = [
+        (p0, p1, p2, p3)
+        for p0 in adj
+        for p1 in adj[p0]
+        for p2 in adj[p1]
+        if p2 != p0
+        for p3 in adj[p2]
+        if p3 > p0 and p3 != p1 and lab.colour_of_label(p0) == lab.colour_of_label(p3)
+    ]
     out = []
     for quad in sorted(quads):
-        phi, chi1, chi2 = (lab.colour_of_label(q) for q in quad[:3])
-        p0, p1, p2, p3 = (lab.inner_map[q] for q in quad)
+        (a0, u0), (a1, u1), (a2, u2) = (
+            [pos[name] for name in _HUBS[lab.colour_of_label(q)]] for q in quad[:3]
+        )
+        p0, p1, p2, p3 = (pos[q] for q in quad)
         images = (  # of a_0..a_4, b_0..b_4, c
-            pos[_SECOND[chi1]], p0, p3, pos[_SECOND[chi2]], pos["x"],
-            p2, pos[_FIRST[chi1]], pos[_FIRST[chi2]], p1, pos[_SECOND[phi]],
-            pos[_FIRST[phi]],
+            u1, p0, p3, u2, lab.x, p2, a1, a2, p1, u0, a0,
         )
         for s in range(11):
             for t in range(s + 1, 11):
@@ -451,7 +408,13 @@ def extremal_formula(n: int, s: int) -> int:
     Exact integer evaluation of k(k-1)n^2/2 - k(3k-4)ns + (3k-4)(3k-1)s^2/2
     with k = ceil(s / (3s - n)); defined for n/3 < s <= n/2.
     """
+    return _extremal(n, s)[1]
+
+
+def _extremal(n: int, s: int) -> tuple[int, int]:
+    """(k, extremal_formula(n, s)), after the domain check."""
     if not (3 * s > n and 2 * s <= n):
         raise ValueError(f"s must satisfy n/3 < s <= n/2, got (n, s) = ({n}, {s})")
     k = -(-s // (3 * s - n))
-    return (k * (k - 1) * n * n - 2 * k * (3 * k - 4) * n * s + (3 * k - 4) * (3 * k - 1) * s * s) // 2
+    twice = k * (k - 1) * n * n - 2 * k * (3 * k - 4) * n * s + (3 * k - 4) * (3 * k - 1) * s * s
+    return k, twice // 2

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .families import AndrasfaiId, VegaId, andrasfai, extremal_formula, mycielski_grotzsch, vega
+from .families import AndrasfaiId, VegaId, _extremal, andrasfai, mycielski_grotzsch, vega
 from .graph import (
     BlowupSpec,
     Graph,
@@ -58,6 +58,7 @@ from .properties import (
 from .recognition import match_template
 
 ENUMERATION_GUARD = 12
+EXTREMAL_MAX_ORDER = 30
 
 
 class ResourceGuardError(RuntimeError):
@@ -387,7 +388,7 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
     return out
 
 
-def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
+def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> ExtremalResult:
     """Best edge count over template blow-ups with order n and independence <= s.
 
     Templates: the circulant family at the formula index and its neighbours,
@@ -400,11 +401,9 @@ def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
     weightings in lexicographic order, deduplicated by canonical form of
     the expansion.
     """
-    if not (3 * s > n and 2 * s <= n):
-        raise ValueError(f"s must satisfy n/3 < s <= n/2, got (n, s) = ({n}, {s})")
+    k, formula = _extremal(n, s)  # validates (n, s) before the cap
     if n > max_order:
         raise ResourceGuardError(f"extremal search capped at order {max_order}")
-    k = -(-s // (3 * s - n))
     templates: list[Graph] = []
     for j in (k - 1, k, k + 1):
         if j >= 1 and 3 * j - 1 <= n:
@@ -439,4 +438,4 @@ def search_extremal(n: int, s: int, max_order: int = 30) -> ExtremalResult:
         alpha, _ = independence_number(expanded)
         if expanded.n != n or not free or alpha > s or expanded.edge_count != best:
             raise AssertionError("extremal witness failed re-validation")
-    return ExtremalResult(n, s, k, extremal_formula(n, s), best, tuple(specs))
+    return ExtremalResult(n, s, k, formula, best, tuple(specs))

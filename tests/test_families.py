@@ -102,6 +102,20 @@ def test_vega_family_shape(i, mu, nu):
     if lab.y is not None:
         named.add(lab.y)
     assert named == set(range(g.n))
+    # names() has one entry per vertex: the surviving inner labels, a..x, and y iff mu=0
+    names = lab.names()
+    assert sorted(names) == list(range(g.n))
+    inner = {str(j) for j in range(3 * i - 1) if not (nu and j == 2 * i - 1)}
+    assert set(names.values()) == inner | set("abcuvwx") | ({"y"} if mu == 0 else set())
+
+
+@pytest.mark.parametrize("i", range(2, 13))
+@pytest.mark.parametrize("mu", (0, 1))
+@pytest.mark.parametrize("nu", (0, 1))
+def test_vega_inner_vertices_induce_the_circulant(i, mu, nu):
+    g, lab = vega(i, mu, nu)
+    alive = [j for j in range(3 * i - 1) if not (nu and j == 2 * i - 1)]
+    assert induced_subgraph(g, [lab.inner(j) for j in alive]) == induced_subgraph(andrasfai(i), alive)
 
 
 @pytest.mark.parametrize("i", range(2, 7))
@@ -226,6 +240,17 @@ def test_cayley_family_shape(k):
     assert len(degrees) == 1  # vertex-transitive circulant
     assert is_triangle_free(g)[0]
     assert find_induced(g, cycle(6)) is not None
+
+
+def test_circulants_match_networkx():
+    def nx_edges(n, offsets):
+        return {tuple(sorted(e)) for e in nx.circulant_graph(n, offsets).edges()}
+
+    for k in range(1, 41):
+        g = andrasfai(k)
+        assert g.n == 3 * k - 1 and set(g.edges()) == nx_edges(g.n, range(k, 2 * k))
+        g = cayley_6k(k)
+        assert g.n == 6 * k and set(g.edges()) == nx_edges(g.n, range(k, 2 * k))
 
 
 def test_cayley_rejects_bad_index(monkeypatch):

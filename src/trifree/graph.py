@@ -120,9 +120,20 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the offending pair.
+    orientation), naming the first offending pair.  A first pass sets bits
+    unchecked; a loop or a duplicate leaves fewer than 2 * len(edges), and
+    only then, or on a bad endpoint, does the checking pass run.
     """
     check_order(n)
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            break
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    else:
+        if sum(row.bit_count() for row in rows) == 2 * len(edges):
+            return Graph(n, rows)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -490,29 +501,38 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
     no host vertex is used twice.  Pattern vertices are placed
     highest-degree-first (ties by index) and host candidates scanned in
     increasing order, so the stream is reproducible.
+
+    Forward checking (Ullmann, J. ACM 23, 1976) on an explicit stack: each
+    placement of v narrows every later pattern vertex's candidate mask to
+    v's neighbours or to its other non-neighbours, and is skipped if a mask
+    empties.  Masks start with the host vertices having at least as many
+    neighbours and non-neighbours as the pattern vertex, as a copy needs, so
+    only subtrees without a copy are cut: the stream is plain backtracking's.
     """
-    if pattern.n > host.n:
+    k, n = pattern.n, host.n
+    order = sorted(range(k), key=lambda v: (-pattern.degree(v), v))
+    degrees = [row.bit_count() for row in host.adj]
+    masks = [sum(1 << v for v in range(n) if d <= degrees[v] <= n - k + d)
+             for d in (pattern.degree(p) for p in order)]
+    if k > n or 0 in masks:
         return
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    full = (1 << host.n) - 1
-    assign = [0] * pattern.n
-
-    def place(step: int, used: int) -> Iterator[tuple[int, ...]]:
-        if step == pattern.n:
+    non = [((1 << n) - 1) ^ row ^ 1 << v for v, row in enumerate(host.adj)]
+    links = [[pattern.has_edge(p, q) for q in order[i + 1 :]] for i, p in enumerate(order)]
+    assign = [0] * k
+    stack = [(0, masks[0], masks[1:])]
+    while stack:
+        step, cand, later = stack.pop()
+        low = cand & -cand
+        if cand ^ low:
+            stack.append((step, cand ^ low, later))
+        v = assign[order[step]] = low.bit_length() - 1
+        if step + 1 == k:
             yield tuple(assign)
-            return
-        p = order[step]
-        cand = full & ~used
-        for q in order[:step]:
-            hq = host.adj[assign[q]]
-            cand &= hq if pattern.has_edge(p, q) else ~hq & full
-            if not cand:
-                return
-        for v in _bits(cand):
-            assign[p] = v
-            yield from place(step + 1, used | 1 << v)
-
-    yield from place(0, 0)
+            continue
+        near, far = host.adj[v], non[v]
+        narrowed = [m & (near if linked else far) for m, linked in zip(later, links[step])]
+        if 0 not in narrowed:
+            stack.append((step + 1, narrowed[0], narrowed[1:]))
 
 
 def induced_copies(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:

@@ -223,6 +223,22 @@ def brute_force_q1(g: Graph):
     return None
 
 
+def induced_oracle(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
+    """Every injective induced map of pattern into host, by brute force.
+
+    Sorted by the images taken in `find_induced_all`'s placement order
+    (highest pattern degree first, ties by index), which is the order plain
+    backtracking yields them in.
+    """
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    pairs = list(itertools.combinations(range(pattern.n), 2))
+    maps = [
+        images for images in itertools.permutations(range(host.n), pattern.n)
+        if all(host.has_edge(images[u], images[v]) == pattern.has_edge(u, v) for u, v in pairs)
+    ]
+    return sorted(maps, key=lambda images: [images[p] for p in order])
+
+
 def brute_force_maximal_tf(g: Graph) -> bool:
     for u, v, w in itertools.combinations(range(g.n), 3):
         if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w):

@@ -127,6 +127,15 @@ def test_census_reports_are_byte_identical():
     assert all(row["d4"] == (row["recognized"] is not None) for row in report["rows"])
 
 
+@pytest.mark.slow
+def test_census_n12_asserts_every_row():
+    done = run_cli(["census", "--n", "12", "--allow-large", "--assert"])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    # OEIS A216783: 147 maximal triangle-free graphs on 12 vertices
+    assert report["count"] == len(report["rows"]) == 147
+
+
 def test_hunt_exits_clean_when_no_counterexamples():
     result = run_cli(["hunt", "--max-n", "7"])
     assert result.returncode == 0

@@ -7,7 +7,7 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import petersen, random_graph, to_nx, twin_property_oracle
+from conftest import induced_oracle, petersen, random_graph, to_nx, twin_property_oracle
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from trifree import families
@@ -61,6 +61,15 @@ def test_construction_rejects_bad_edges():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(ConstructionError):
         from_edge_list(3, [(0, 1), (1, 0)])
+    # bits are set unchecked first; the message must still name the first bad pair
+    with pytest.raises(ConstructionError, match=r"^duplicate edge \(1, 0\)$"):
+        from_edge_list(3, [(0, 1), (1, 0), (2, 2)])
+    with pytest.raises(ConstructionError, match=r"^duplicate edge \(0, 1\)$"):
+        from_edge_list(3, [(0, 1), (0, 1), (0, 3)])
+    with pytest.raises(ConstructionError, match=r"^edge \(2, 2\) is a loop$"):
+        from_edge_list(3, [(2, 2), (0, 1), (1, 0)])
+    with pytest.raises(ConstructionError, match=r"^edge \(-1, 0\) has an endpoint outside 0..2$"):
+        from_edge_list(3, [(-1, 0), (0, 1), (0, 1)])
 
 
 def test_relabel_and_induced_subgraph():
@@ -132,6 +141,32 @@ def test_find_induced_all_is_deterministic_and_complete():
     assert embs == list(find_induced_all(host, path(3)))
     # each of the 6 copies of P3 appears with both orientations
     assert len(embs) == 12
+    # the whole stream equals every injective induced map in placement order
+    shapes = [
+        from_edge_list(1, []),                            # single vertex
+        from_edge_list(3, []),                            # edgeless
+        complete(3),
+        complete(4),
+        path(3),                                          # twins
+        cycle(4),                                         # twins
+        from_edge_list(4, [(0, 1), (0, 2), (0, 3)]),      # star: three twins
+        from_edge_list(5, [(0, 1), (2, 3), (3, 4)]),      # disconnected
+        cycle(5),
+    ]
+    rng = random.Random(31)
+    for _ in range(60):
+        host = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+        for pattern in shapes + [random_graph(rng, rng.randint(1, 5), rng.random())]:
+            assert list(find_induced_all(host, pattern)) == induced_oracle(host, pattern)
+    assert list(find_induced_all(path(3), cycle(4))) == [] == induced_oracle(path(3), cycle(4))
+
+
+def test_deep_patterns_run_on_a_stack():
+    host = cycle(1024)
+    emb = next(find_induced_all(host, path(1023)))
+    assert induced_subgraph(host, emb) == path(1023)
+    assert list(find_induced_all(path(1024), path(1024))) == [
+        tuple(range(1024)), tuple(range(1023, -1, -1))]
 
 
 def test_find_induced_on_quotient_matches_direct_search():

@@ -120,9 +120,9 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the first offending pair.  A first pass sets bits
-    unchecked; a loop or a duplicate leaves fewer than 2 * len(edges), and
-    only then, or on a bad endpoint, does the checking pass run.
+    orientation), naming the first offending pair.  A first pass sets the
+    bits unchecked; a loop or duplicate leaves under 2 * len(edges) of them
+    set, and only then, or on a bad endpoint, does the checking pass run.
     """
     check_order(n)
     rows = [0] * n

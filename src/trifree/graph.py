@@ -120,20 +120,9 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the first offending pair.  A first pass sets the
-    bits unchecked; a loop or duplicate leaves under 2 * len(edges) of them
-    set, and only then, or on a bad endpoint, does the checking pass run.
+    orientation), naming the offending pair.
     """
     check_order(n)
-    rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            break
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    else:
-        if sum(row.bit_count() for row in rows) == 2 * len(edges):
-            return Graph(n, rows)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -508,13 +497,14 @@ def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
     empties.  Masks start with the host vertices having at least as many
     neighbours and non-neighbours as the pattern vertex, as a copy needs, so
     only subtrees without a copy are cut: the stream is plain backtracking's.
+    A pattern larger than the host empties every mask of that filter.
     """
     k, n = pattern.n, host.n
     order = sorted(range(k), key=lambda v: (-pattern.degree(v), v))
     degrees = [row.bit_count() for row in host.adj]
     masks = [sum(1 << v for v in range(n) if d <= degrees[v] <= n - k + d)
              for d in (pattern.degree(p) for p in order)]
-    if k > n or 0 in masks:
+    if 0 in masks:
         return
     non = [((1 << n) - 1) ^ row ^ 1 << v for v, row in enumerate(host.adj)]
     links = [[pattern.has_edge(p, q) for q in order[i + 1 :]] for i, p in enumerate(order)]

@@ -61,7 +61,7 @@ def test_construction_rejects_bad_edges():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(ConstructionError):
         from_edge_list(3, [(0, 1), (1, 0)])
-    # bits are set unchecked first; the message must still name the first bad pair
+    # with several bad pairs, the message names the first one listed
     with pytest.raises(ConstructionError, match=r"^duplicate edge \(1, 0\)$"):
         from_edge_list(3, [(0, 1), (1, 0), (2, 2)])
     with pytest.raises(ConstructionError, match=r"^duplicate edge \(0, 1\)$"):

@@ -17,7 +17,10 @@ import sys
 import time
 from typing import Optional
 
+from . import __version__
 from .families import (
+    FIG41_NAMES,
+    GRAPH_N_NAMES,
     AndrasfaiId,
     andrasfai,
     cayley_6k,
@@ -55,15 +58,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("trifree")
-    except Exception:
-        return "0.1.0"
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -84,7 +78,7 @@ def _input_graph(args) -> Graph:
 
 
 def _emit(args, command: str, payload: dict, started: float) -> None:
-    report = {"command": command, "version": _version()}
+    report = {"command": command, "version": __version__}
     report.update(payload)
     if getattr(args, "timings", False):
         report["elapsed"] = round(time.perf_counter() - started, 3)
@@ -104,16 +98,6 @@ def _weights_payload(w) -> Optional[list]:
 # -- gen -------------------------------------------------------------------
 
 
-def _range_labels(prefix_groups) -> dict[int, str]:
-    labels = {}
-    position = 0
-    for prefix, count in prefix_groups:
-        for index in range(count):
-            labels[position] = f"{prefix}{index + 1}" if count > 1 else prefix
-            position += 1
-    return labels
-
-
 def _build_family(args) -> tuple[Graph, Optional[dict[int, str]]]:
     family = args.family
     if family == "andrasfai":
@@ -127,20 +111,17 @@ def _build_family(args) -> tuple[Graph, Optional[dict[int, str]]]:
         return g, labeling.names()
     if family == "mycielski":
         g, labeling = mycielski_grotzsch()
-        labels = {p: f"a{j}" for j, p in enumerate(labeling.a)}
-        labels.update({p: f"b{j}" for j, p in enumerate(labeling.b)})
-        labels[labeling.c] = "c"
-        return g, labels
+        return g, labeling.names()
     if family == "cube":
         return cube(), None
     if family == "graph-n":
-        return graph_n(), _range_labels([("a", 3), ("b", 3), ("c", 3)])
+        return graph_n(), dict(enumerate(GRAPH_N_NAMES))
     if family == "cayley":
         if args.k is None:
             raise ValueError("gen cayley requires --k")
         return cayley_6k(args.k), None
     if family == "fig41":
-        return fig41(), _range_labels([("a", 8), ("b", 4)])
+        return fig41(), dict(enumerate(FIG41_NAMES))
     if family == "haggkvist":
         return blowup(haggkvist_spec()), None
     if family == "blowup":
@@ -362,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and exhaustive small-order verification for maximal "
                     "triangle-free graphs.",
     )
-    parser.add_argument("--version", action="version", version=f"trifree {_version()}")
+    parser.add_argument("--version", action="version", version=f"trifree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a named family member")

@@ -83,6 +83,13 @@ class UpsilonLabeling:
     b: tuple[int, int, int, int, int]
     c: int
 
+    def names(self) -> dict[int, str]:
+        """Position -> display name a0..a4, b0..b4, c, for DOT export."""
+        labels = {pos: f"a{j}" for j, pos in enumerate(self.a)}
+        labels.update({pos: f"b{j}" for j, pos in enumerate(self.b)})
+        labels[self.c] = "c"
+        return labels
+
 
 def mycielski_grotzsch() -> tuple[Graph, UpsilonLabeling]:
     """The 11-vertex graph with edges a_i c, a_i b_{i+-2}, b_i b_{i+2} (mod 5)."""
@@ -212,8 +219,12 @@ def cube() -> Graph:
     return from_edge_list(8, edges)
 
 
+GRAPH_N_NAMES = tuple(f"{part}{t}" for part in "abc" for t in (1, 2, 3))
+
+
 def graph_n() -> Graph:
-    """Nine vertices a_i=0..2, b_i=3..5, c_i=6..8 with a_ic_i, b_ic_i, a_ib_j (i != j)."""
+    """Nine vertices, named by position in GRAPH_N_NAMES: a1..a3, b1..b3,
+    c1..c3 = 0..8, with edges a_t c_t, b_t c_t and a_s b_t (s != t)."""
     edges = []
     for i in range(3):
         edges.append((i, 6 + i))
@@ -229,13 +240,16 @@ def cayley_6k(k: int) -> Graph:
     return _circulant(6 * k, k, [range(k, 2 * k), range(4 * k + 1, 5 * k + 1)])
 
 
+FIG41_NAMES = tuple(f"a{t}" for t in range(1, 9)) + tuple(f"b{t}" for t in range(1, 5))
+
+
 def fig41() -> Graph:
     """A fixed 12-vertex, 24-edge, 4-regular triangle-free graph.
 
-    Vertices a1..a8 = 0..7 and b1..b4 = 8..11.
+    Vertices are named by position in FIG41_NAMES: a1..a8 = 0..7 and
+    b1..b4 = 8..11.
     """
-    names = {f"a{t}": t - 1 for t in range(1, 9)}
-    names.update({f"b{t}": 7 + t for t in range(1, 5)})
+    names = {name: pos for pos, name in enumerate(FIG41_NAMES)}
     pairs = [
         ("b1", "b2"), ("b3", "b4"), ("a2", "b1"), ("b1", "b4"), ("b4", "a5"),
         ("a1", "a4"), ("a4", "a7"), ("a7", "a2"), ("a2", "a5"), ("a5", "a8"),

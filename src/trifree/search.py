@@ -201,10 +201,10 @@ def census_row(g: Graph) -> CensusRow:
     d = check_d(q, 4, direct=True)
     d2 = d.holds or d.level > 2
     d3 = d.holds or d.level > 3
-    # when every neighbourhood is independent, check_q would bound the same
-    # vertices and solve the same LP, so a D certificate proves Q too
-    same_lp = d.certificate is not None and all(
-        not q.adj[v] & row for row in q.adj for v in _bits(row))
+    # on a triangle-free q every neighbourhood is independent, so check_q
+    # would bound the same vertices and solve the same LP: a D certificate
+    # proves Q too
+    same_lp = d.certificate is not None and is_triangle_free(q)[0]
     q4 = same_lp or check_q(q, 4, direct=True).holds
     certificate = match_template(partition, q)
     recognized = certificate.family if certificate is not None else None

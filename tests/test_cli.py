@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import random_graph
 
+from trifree import __version__
 from trifree.cli import main
 from trifree.formats import (
     FormatError,
@@ -223,6 +226,15 @@ def test_reports_use_sorted_keys():
     report = json.loads(result.stdout)
     assert list(report) == sorted(report)
     assert list(report["verdict"]) == sorted(report["verdict"])
+
+
+def test_version_matches_pyproject():
+    # a regex rather than tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert __version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    result = run_cli(["check", "--tf"], stdin="p tf 2\ne 0 1\n")
+    assert json.loads(result.stdout)["version"] == __version__
+    assert run_cli(["--version"]).stdout == f"trifree {__version__}\n"
 
 
 def test_main_entry_point_direct():

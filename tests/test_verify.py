@@ -46,6 +46,13 @@ def test_reports_carry_seeds_and_parameters(tmp_path):
     assert report.seed is None  # deterministic check
     seeded = run_check("gamma_twin_attach")
     assert seeded.seed == SEEDS["gamma_twin_attach"]
+    assert set(SEEDS) == {"gamma_twin_attach", "vega_twin_attach"}
+    # the pattern checks walk the templates alone and count the copies;
+    # no template contains graph N, so graph_n_lemma holds vacuously
+    for name, copies in (("cube_lemma", 0), ("graph_n_lemma", 0), ("beautiful", 2430)):
+        pattern_report = run_check(name)
+        assert pattern_report.passed and pattern_report.seed is None
+        assert pattern_report.details == {"copies": copies}
     # the catalog is fixed, and the report keeps its empty parameter map
     out = tmp_path / "report.json"
     assert main(["paper-verify", "--check", "degree_table", "--out", str(out)]) == 0

@@ -18,7 +18,9 @@ Y = 1 on the bounded vertices, with D the least number of them in any
 neighbourhood, is a dual when fewer than 3D are bounded (delta > n/3 for
 the plain property), and is tried first.  When n >= 3 * (largest bounded
 degree), w = 1/that degree reaches 3, so no dual exists and the simplex is
-skipped.  Refutations come from the DFS.
+skipped.  Refutations come from the DFS, which drops a subtree (never a
+leaf) once the room left in neighbourhoods covering its vertices, plus the
+caps of its isolated vertices, is below the weight still to place.
 
 Maximum-weight independent sets take isolated vertices, and pendant
 vertices at least as heavy as their neighbour (a set holding the neighbour
@@ -79,8 +81,8 @@ def is_maximal_triangle_free(g: Graph) -> MaximalityResult:
     if not free:
         return MaximalityResult(False, tri, None)
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and not (g.adj[u] & g.adj[v]):
+        for v in _bits(~g.adj[u] >> (u + 1) << (u + 1) & (1 << g.n) - 1):
+            if not g.adj[u] & g.adj[v]:
                 return MaximalityResult(False, None, (u, v))
     return MaximalityResult(True, None, None)
 
@@ -201,44 +203,41 @@ def _coverage_search(
     property and fail the certificate at y in the variant.  Vertices without
     neighbours carry the full total unless ``isolated_cap`` lowers that.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     target = 3 * m
     free = target if isolated_cap is None else min(isolated_cap, target)
-    caps = [m if g.adj[v] else free for v in range(n)]
-    deg = [g.degree(v) for v in range(n)]
-    nbrs = [tuple(_bits(g.adj[v])) for v in range(n)]
+    caps = [m if adj[v] else free for v in range(n)]
+    nbrs = [tuple(_bits(adj[v])) for v in range(n)]
     room = list(bounds)  # remaining coverage budget per vertex
     weights = [0] * n
+    # cover[i]: neighbourhoods holding every non-isolated vertex of order[i:],
+    # rebuilt greedily when order[i] is outside; loose[i]: the isolated caps
+    cover, loose = [()] * (n + 1), [0] * (n + 1)
+    tail = reach = 0
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        cover[i], loose[i] = cover[i + 1], loose[i + 1]
+        if not adj[v]:
+            loose[i] += caps[v]
+            continue
+        tail |= 1 << v
+        if reach >> v & 1:
+            continue
+        chosen, reach = [], 0
+        while left := tail & ~reach:
+            w = (left & -left).bit_length() - 1
+            chosen.append(max(nbrs[w], key=lambda y: (adj[y] & left).bit_count()))
+            reach |= adj[chosen[-1]]
+        cover[i] = tuple(chosen)
 
-    def dfs(idx: int, placed: int, budget: int) -> bool:
-        # budget = sum of all coverage headrooms; a unit on v consumes deg(v)
+    def dfs(idx: int, placed: int) -> bool:
         if placed == target:
             return leaf_ok(weights)
         if idx == n:
             return False
-        # fractional-knapsack capacity of the tail, cheapest degrees first
-        # (order[] is degree-descending, so walk it backwards)
         need = target - placed
-        mass = 0
-        left = budget
-        for j in range(n - 1, idx - 1, -1):
-            v = order[j]
-            d = deg[v]
-            if d > left:
-                break
-            head = caps[v]
-            for y in nbrs[v]:
-                r = room[y]
-                if r < head:
-                    head = r
-            if head:
-                take = head if d == 0 or head * d <= left else left // d
-                mass += take
-                if mass >= need:
-                    break
-                left -= take * d
-        if mass < need:
+        if loose[idx] + sum(map(room.__getitem__, cover[idx])) < need:
             return False
         u = order[idx]
         un = nbrs[u]
@@ -249,21 +248,19 @@ def _coverage_search(
                 top = r
         if top > need:
             top = need
-        du = deg[u]
         for val in range(top + 1):
             if val:
                 weights[u] = val
                 for y in un:
                     room[y] -= 1
-            if dfs(idx + 1, placed + val, budget - val * du):
+            if dfs(idx + 1, placed + val):
                 return True
-        if top > 0:
-            for y in un:
-                room[y] += top
+        for y in un:
+            room[y] += top
         weights[u] = 0
         return False
 
-    return tuple(weights) if dfs(0, 0, sum(room)) else None
+    return tuple(weights) if dfs(0, 0) else None
 
 
 def _certificate_free(g: Graph, m: int, weights) -> bool:

@@ -154,7 +154,8 @@ def _check_edge_identity():
 
 
 def _check_cube_lemma():
-    return _every_copy(cube(), lambda host, emb: _fail(host, reason="induced cube found"))
+    return _every_copy(cube(), lambda host, emb: _fail(
+        host, embedding=list(emb), reason="induced cube found"))
 
 
 def _nine_vertex_assert(host: Graph, emb_map) -> Optional[dict]:

@@ -24,7 +24,7 @@ from trifree.graph import (
     h_twins,
     quotient,
 )
-from trifree.properties import _certificate_free, _coverage_search, validate_q_witness
+from trifree.properties import _certificate_free, validate_q_witness
 from trifree.search import _maximal_independent_sets
 
 
@@ -74,23 +74,84 @@ def attach_oracle(level, masks_of) -> list[Graph]:
     return [seen[key] for key in sorted(seen)]
 
 
+def knapsack_coverage_search(g: Graph, m: int, bounds, leaf_ok, isolated_cap=None):
+    """The coverage DFS with a fractional-knapsack tail bound.
+
+    The reference for `properties._coverage_search`, which walks the same
+    tree (vertices by descending degree, weights ascending from zero) but
+    cuts it on a neighbourhood-cover bound; both return the same first
+    accepted leaf.
+    """
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    target = 3 * m
+    free = target if isolated_cap is None else min(isolated_cap, target)
+    caps = [m if g.adj[v] else free for v in range(n)]
+    deg = [g.degree(v) for v in range(n)]
+    nbrs = [tuple(_bits(g.adj[v])) for v in range(n)]
+    room = list(bounds)
+    weights = [0] * n
+
+    def dfs(idx: int, placed: int, budget: int) -> bool:
+        # budget = sum of all coverage headrooms; a unit on v consumes deg(v)
+        if placed == target:
+            return leaf_ok(weights)
+        if idx == n:
+            return False
+        # fractional-knapsack capacity of the tail, cheapest degrees first
+        need = target - placed
+        mass, left = 0, budget
+        for j in range(n - 1, idx - 1, -1):
+            v = order[j]
+            d = deg[v]
+            if d > left:
+                break
+            head = min([caps[v]] + [room[y] for y in nbrs[v]])
+            if head:
+                take = head if d == 0 or head * d <= left else left // d
+                mass += take
+                if mass >= need:
+                    break
+                left -= take * d
+        if mass < need:
+            return False
+        u = order[idx]
+        top = min([caps[u], need] + [room[y] for y in nbrs[u]])
+        for val in range(top + 1):
+            if val:
+                weights[u] = val
+                for y in nbrs[u]:
+                    room[y] -= 1
+            if dfs(idx + 1, placed + val, budget - val * deg[u]):
+                return True
+        for y in nbrs[u]:
+            room[y] += top
+        weights[u] = 0
+        return False
+
+    return tuple(weights) if dfs(0, 0, sum(room)) else None
+
+
+def level_search_args(g: Graph, m: int, q: bool):
+    """The (bounds, leaf_ok, isolated_cap) that `check_d`, or `check_q` when
+    ``q``, pass to the coverage search at level m."""
+    if not q:
+        return [m] * g.n, lambda _: True, None
+    independent = [all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
+    return ([m if ind else 3 * m for ind in independent],
+            lambda w: _certificate_free(g, m, w), m + 1)
+
+
 def covering_oracle(g: Graph, k: int, q: bool = False):
-    """(holds, level, witness) of the level-by-level DFS with no LP step.
+    """(holds, level, witness) of the level-by-level knapsack DFS, no LP step.
 
     The reference for `check_d` (or `check_q` when ``q``), which try a
     fractional certificate first; like them it searches the twin quotient
     and lifts the witness to the class representatives.
     """
     partition, h = quotient(g)
-    independent = [all(not h.adj[v] & row for v in _bits(row)) for row in h.adj]
     for m in range(1, k + 1):
-        if q:
-            witness = _coverage_search(
-                h, m, [m if ind else 3 * m for ind in independent],
-                lambda w: _certificate_free(h, m, w), isolated_cap=m + 1,
-            )
-        else:
-            witness = _coverage_search(h, m, [m] * h.n, lambda _: True)
+        witness = knapsack_coverage_search(h, m, *level_search_args(h, m, q))
         if witness is not None:
             lifted = [0] * g.n
             for rep, x in zip(partition.representatives, witness):

@@ -11,7 +11,10 @@ import pytest
 from conftest import (
     brute_force_d,
     brute_force_q1,
+    brute_force_maximal_tf,
     covering_oracle,
+    knapsack_coverage_search,
+    level_search_args,
     nx_independence_number,
     nx_max_weight_independent_set,
     petersen,
@@ -29,6 +32,7 @@ from trifree.families import (
 from trifree.graph import BlowupSpec, Graph, _bits, blowup, from_edge_list, quotient
 import trifree.properties as properties_module
 from trifree.properties import (
+    _coverage_search,
     _simplex_dual,
     check_d,
     check_q,
@@ -41,7 +45,7 @@ from trifree.properties import (
     validate_q_witness,
     weighted_coverage,
 )
-from trifree.search import enumerate_maximal_tf
+from trifree.search import _tf_graphs, enumerate_maximal_tf
 
 
 def cycle(n):
@@ -67,6 +71,22 @@ def test_maximality_result_fields():
     r = is_maximal_triangle_free(triangle_plus_isolated())
     assert not r.holds and r.triangle == (0, 1, 2)
 
+
+
+def test_missing_pair_is_the_lexicographically_first():
+    rng = random.Random(151)
+    open_graphs = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6)))
+        result = is_maximal_triangle_free(g)
+        assert result.holds == brute_force_maximal_tf(g)
+        if result.triangle is not None:
+            continue
+        first = next(((u, v) for u, v in itertools.combinations(range(g.n), 2)
+                      if not g.has_edge(u, v) and not g.adj[u] & g.adj[v]), None)
+        assert result.missing_pair == first
+        open_graphs += first is not None
+    assert open_graphs > 30
 
 def test_weighted_coverage():
     g = cycle(5)
@@ -431,6 +451,60 @@ def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
     # delta <= n/3, so the all-ones certificate fails and the simplex runs
     assert check_d(vega(2, 0, 0)[0], 4).certificate is not None
     assert calls == 1
+
+
+# -- the coverage DFS against the knapsack reference ------------------------
+
+
+def _same_search(g, m, q):
+    """The cover-bound search and the knapsack reference visit the same
+    leaves in the same order and accept the same one; returns it."""
+    bounds, leaf_ok, isolated_cap = level_search_args(g, m, q)
+    verdicts, leaves = {}, []
+
+    def recorded(weights):
+        key = tuple(weights)
+        leaves.append(key)
+        if key not in verdicts:
+            verdicts[key] = leaf_ok(weights)
+        return verdicts[key]
+
+    witness = _coverage_search(g, m, bounds, recorded, isolated_cap)
+    seen, leaves[:] = leaves[:], []
+    assert knapsack_coverage_search(g, m, bounds, recorded, isolated_cap) == witness
+    assert leaves == seen
+    return witness
+
+
+def test_cover_bound_keeps_the_knapsack_witnesses():
+    graphs = [g for n in range(1, 9) for g in _tf_graphs(n)]
+    rng = random.Random(149)
+    while len(graphs) < 582 + 120:  # 120 graphs with triangles
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.4, 0.6)))
+        if not is_triangle_free(g)[0]:
+            graphs.append(g)
+    graphs += [cayley_6k(k) for k in range(2, 6)] + [fig41()]
+    refuted = 0
+    for g in graphs:
+        for m in (1, 2, 3):
+            if m == 3 and g.n >= 24:
+                continue  # cayley_6k(4), cayley_6k(5): the slow test below
+            for q in (False, True):
+                refuted += _same_search(g, m, q) is not None
+    assert refuted > 1000
+
+
+@pytest.mark.slow
+def test_cover_bound_keeps_the_knapsack_witnesses_on_large_circulants():
+    for k in (4, 5):
+        for q in (False, True):
+            assert _same_search(cayley_6k(k), 3, q) is None
+
+
+def test_cayley_level_two_witness_is_pinned():
+    verdict = check_d(cayley_6k(10), 4)
+    assert not verdict.holds and verdict.level == 2
+    assert verdict.witness == tuple(int(v in (9, 19, 29, 39, 49, 59)) for v in range(60))
 
 
 def test_a_bad_lifted_witness_is_refused(monkeypatch):

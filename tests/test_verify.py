@@ -106,6 +106,21 @@ def test_aux_embeddings_failure_names_the_path(monkeypatch):
     assert str(list(first)) in counterexample["reason"]
 
 
+def test_cube_lemma_failure_carries_the_embedding(monkeypatch):
+    c5 = Graph(5, [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)])
+    monkeypatch.setattr(verify_module, "cube", lambda: c5)
+    report = run_check("cube_lemma")
+    assert not report.passed and report.details == {"copies": 1}
+    counterexample = report.counterexample
+    assert counterexample["member"] == "circulant k=2"  # andrasfai(2) is C5
+    host = parse_elist(counterexample["graph"])
+    embedding = counterexample["embedding"]
+    assert len(set(embedding)) == 5
+    for v in range(5):
+        assert host.has_edge(embedding[v], embedding[(v + 1) % 5])
+        assert not host.has_edge(embedding[v], embedding[(v + 2) % 5])
+
+
 def test_twin_attach_checks_search_twin_free_hosts(monkeypatch):
     hosts = []
     original = graph_module.find_induced_all

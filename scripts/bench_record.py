@@ -11,7 +11,10 @@ the commit, Python version and nproc of its runs, and for each workload the
 ``result.metrics`` and failure counts of every seed with the median of each
 metric over the seeds.  When the traced record of the first seed
 (``W-seedS-trace1.json``, from ``--trace 1``) is there too, its ``.calls``
-counters sit next to the medians under ``calls``.  Stdlib only; it does not
+counters sit next to the medians under ``calls``.  ``reports_differ`` lists,
+per workload, the operations whose report sha256 (``repetitions[].sha256`` of
+the untraced records) differs between the two checkouts on some seed; an
+empty list means every report was byte-identical.  Stdlib only; it does not
 import trifree.
 """
 
@@ -70,6 +73,33 @@ def fold(checkout: str, workloads, seeds) -> dict:
     return side
 
 
+def _digests(checkout: str, workload: str, seed: int) -> dict[str, set[str]]:
+    """The report sha256 of each operation, over the repetitions of one run."""
+    with open(_path(checkout, workload, seed, 0), encoding="ascii") as handle:
+        repetitions = json.load(handle)["repetitions"]
+    seen: dict[str, set[str]] = {}
+    for repetition in repetitions:
+        for op, digest in repetition["sha256"].items():
+            seen.setdefault(op, set()).add(digest)
+    return seen
+
+
+def reports_differ(parent: str, change: str, workloads, seeds) -> dict[str, list[str]]:
+    """Per workload, the operations whose reports differ between the
+    checkouts on some seed (an operation with no report on one side
+    differs)."""
+    differ = {}
+    for workload in workloads:
+        ops = set()
+        for seed in seeds:
+            before = _digests(parent, workload, seed)
+            after = _digests(change, workload, seed)
+            ops.update(op for op in before.keys() | after.keys()
+                       if before.get(op) != after.get(op))
+        differ[workload] = sorted(ops)
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -81,6 +111,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "parent": fold(args.parent, WORKLOADS, args.seeds),
         "change": fold(args.change, WORKLOADS, args.seeds),
+        "reports_differ": reports_differ(args.parent, args.change, WORKLOADS, args.seeds),
     }
     with open(args.out, "w", encoding="ascii") as handle:
         json.dump(folded, handle, indent=1)
@@ -88,7 +119,9 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         before = folded["parent"]["workloads"][workload]["median"]["wall_s"]
         after = folded["change"]["workloads"][workload]["median"]["wall_s"]
-        print(f"{workload}: wall_s median {before:.3f} -> {after:.3f}", file=sys.stderr)
+        differ = folded["reports_differ"][workload]
+        print(f"{workload}: wall_s median {before:.3f} -> {after:.3f}, "
+              f"reports differ: {differ or 'none'}", file=sys.stderr)
     return 0
 
 

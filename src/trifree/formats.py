@@ -2,7 +2,12 @@
 
 The native format is line-oriented: one ``p tf <n>`` header, ``e <u> <v>``
 lines with 0-based endpoints in any order, ``#`` starts a comment.  graph6
-packs the upper triangle column by column, six bits per printable byte.
+packs the upper triangle column by column, six bits per printable byte
+(B. D. McKay's ``formats.txt``).  The codec works on ``'0'``/``'1'`` strings,
+a few string operations per vertex: the encoder reads column v off the low v
+bits of row v; the decoder lays the columns out as an n x n lower-triangular
+grid, column v zero-filled as row v, so row v is its grid row (neighbours
+u < v) or'ed with the stride-n slice ``grid[v::n]`` (neighbours u > v).
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ from .graph import ConstructionError, Graph, check_order, from_edge_list
 
 class FormatError(ValueError):
     """Input text does not parse as a graph in the requested format."""
+
+
+# graph6 byte <-> its six bits, most significant first.
+_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_G6_CHAR = {format(i, "06b"): chr(63 + i) for i in range(64)}
 
 
 def write_elist(g: Graph) -> str:
@@ -57,38 +67,23 @@ def parse_elist(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n <= 62:
-        header = chr(g.n + 63)
-    else:
-        header = chr(126) + "".join(
-            chr(((g.n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
-        )
-    bits = []
-    for v in range(g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = (
-        chr((bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-             | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63)
-        for i in range(0, len(bits), 6)
-    )
-    return header + "".join(chunks)
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
+    bits = "".join(format(row & ~(-1 << v), f"0{v}b")[::-1] for v, row in enumerate(g.adj) if v)
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_G6_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise FormatError("empty graph6 input")
-    if any(not (63 <= ord(ch) <= 126) for ch in s):
+    if min(s) < "?" or max(s) > "~":
         raise FormatError("graph6 bytes must be in the range 63..126")
     if s[0] == chr(126):
         if len(s) < 4 or s[1] == chr(126):
             raise FormatError("unsupported graph6 size form")
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
         body = s[4:]
     else:
         n = ord(s[0]) - 63
@@ -100,21 +95,12 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body for order {n} needs {need} bytes, got {len(body)}")
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    rows = [0] * n
-    index = 0
-    for v in range(n):
-        for u in range(v):
-            if bits[index]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            index += 1
-    if any(bits[index:]):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[n * (n - 1) // 2:]:
         raise FormatError("graph6 padding bits must be zero")
-    return Graph(n, rows)
+    grid = "".join(bits[v * (v - 1) // 2:v * (v + 1) // 2] + "0" * (n - v) for v in range(n))
+    return Graph(n, [int(grid[v * n:(v + 1) * n][::-1], 2) | int(grid[v::n][::-1], 2)
+                     for v in range(n)])
 
 
 def write_dot(g: Graph, labels: Optional[dict[int, str]] = None, name: str = "g") -> str:

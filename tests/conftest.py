@@ -313,6 +313,48 @@ def brute_force_maximal_tf(g: Graph) -> bool:
     return True
 
 
+def graph6_oracle_write(g: Graph) -> str:
+    """graph6 of g, one pair at a time and six bits per byte.
+
+    The reference for `formats.write_graph6`, which works on bit strings.
+    """
+    if g.n <= 62:
+        header = chr(g.n + 63)
+    else:
+        header = chr(126) + "".join(chr(((g.n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+    bits = [1 if g.has_edge(u, v) else 0 for v in range(g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    return header + "".join(
+        chr((bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
+             | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63)
+        for i in range(0, len(bits), 6))
+
+
+def graph6_oracle_rows(text: str) -> tuple[int, ...]:
+    """Adjacency rows of well-formed graph6 text, one bit at a time.
+
+    The reference for `formats.parse_graph6`, which decodes by columns.
+    """
+    s = text.strip()
+    if s[0] == chr(126):
+        n = 0
+        for ch in s[1:4]:
+            n = n << 6 | (ord(ch) - 63)
+        body = s[4:]
+    else:
+        n, body = ord(s[0]) - 63, s[1:]
+    bits = [(ord(ch) - 63) >> shift & 1 for ch in body for shift in (5, 4, 3, 2, 1, 0)]
+    rows = [0] * n
+    index = 0
+    for v in range(n):
+        for u in range(v):
+            if bits[index]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            index += 1
+    return tuple(rows)
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

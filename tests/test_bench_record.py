@@ -22,7 +22,7 @@ def _script():
 
 
 def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit: str,
-                  smoke: bool = False, trace: int = 0, metrics=None) -> None:
+                  smoke: bool = False, trace: int = 0, metrics=None, digests=None) -> None:
     results = checkout / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {
@@ -30,6 +30,7 @@ def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit:
                         "workload": workload, "seed": seed, "smoke": smoke},
         "result": {"correct": True, "attempted": 4, "failed": 0,
                    "metrics": metrics or {"wall_s": {"value": wall, "unit": "s"}}},
+        "repetitions": [{"sha256": reps} for reps in digests or [{"op": "same"}]],
     }
     (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
@@ -50,6 +51,26 @@ def test_fold_keeps_metrics_and_medians(tmp_path):
     assert covering["median"] == {"wall_s": 0.3}
     assert [run["metrics"]["wall_s"]["value"] for run in covering["runs"]] == [0.3, 0.2, 0.4]
     assert folded["parent"]["workloads"]["covering"]["median"]["wall_s"] == 14.0
+    assert folded["reports_differ"] == {workload: [] for workload in script.WORKLOADS}
+
+
+def test_reports_differ_names_the_changed_operations(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    script = _script()
+    same = {"a": "1", "b": "2", "c": "3"}
+    # seed 1: b differs in one repetition; seed 2: c has no report on the change
+    _write_record(parent, "recognize", 1, 1.0, "aaa", digests=[same, same])
+    _write_record(change, "recognize", 1, 1.0, "bbb", digests=[same, {**same, "b": "9"}])
+    _write_record(parent, "recognize", 2, 1.0, "aaa", digests=[same])
+    _write_record(change, "recognize", 2, 1.0, "bbb", digests=[{"a": "1", "b": "2"}])
+    _write_record(parent, "covering", 1, 1.0, "aaa", digests=[same])
+    _write_record(change, "covering", 1, 1.0, "bbb", digests=[same, same])
+    assert script.reports_differ(str(parent), str(change), ["recognize"], [1]) == {
+        "recognize": ["b"]}
+    assert script.reports_differ(str(parent), str(change), ["recognize", "covering"], [1]) == {
+        "recognize": ["b"], "covering": []}
+    assert script.reports_differ(str(parent), str(change), ["recognize"], [1, 2]) == {
+        "recognize": ["b", "c"]}
 
 
 def test_fold_refuses_mixed_commits_and_smoke_runs(tmp_path):

@@ -10,10 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import random_graph
+from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
 
-from trifree import __version__
+from trifree import __version__, cli
 from trifree.cli import main
+from trifree.families import andrasfai, fig41
 from trifree.formats import (
     FormatError,
     parse_elist,
@@ -21,7 +22,7 @@ from trifree.formats import (
     write_elist,
     write_graph6,
 )
-from trifree.graph import from_edge_list
+from trifree.graph import BlowupSpec, blowup, from_edge_list
 
 
 def run_cli(args, stdin: str = "") -> subprocess.CompletedProcess:
@@ -43,6 +44,37 @@ def test_graph6_hand_encodings():
     assert write_graph6(from_edge_list(2, [(0, 1)])) == "A_"
     assert write_graph6(from_edge_list(3, [(0, 1), (1, 2)])) == "Bg"
     assert write_graph6(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == "Dhc"
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 300, 1024])
+def test_graph6_codec_matches_the_per_pair_reference(n):
+    # 62 is the last order with a one-byte header, 63 the first with "~".
+    rng = random.Random(n)
+    for p in (0.0, 0.5, 1.0) if n <= 64 else (0.3,):
+        g = random_graph(rng, n, p)
+        text = write_graph6(g)
+        assert text == graph6_oracle_write(g)
+        assert (text[0] == "~") == (n > 62)
+        assert parse_graph6(text).adj == graph6_oracle_rows(text) == g.adj
+        assert parse_graph6(f"  {text}\n").adj == g.adj
+
+
+@pytest.mark.parametrize("text, message", [
+    ("?", "order must be in 1..1024, got 0"),
+    ("~", "unsupported graph6 size form"),
+    ("~??", "unsupported graph6 size form"),
+    ("~~", "unsupported graph6 size form"),
+    ("~???", "order must be in 1..1024, got 0"),
+    ("A", "graph6 body for order 2 needs 1 bytes, got 0"),
+    ("A_x", "graph6 body for order 2 needs 1 bytes, got 2"),
+    ("B\u00e9", "graph6 bytes must be in the range 63..126"),
+    ("A_ A_", "graph6 bytes must be in the range 63..126"),
+    ("A~", "graph6 padding bits must be zero"),
+])
+def test_graph6_error_messages(text, message):
+    with pytest.raises(FormatError) as caught:
+        parse_graph6(text)
+    assert str(caught.value) == message
 
 
 def test_elist_rejects_malformed_input():
@@ -239,3 +271,63 @@ def test_version_matches_pyproject():
 
 def test_main_entry_point_direct():
     assert main(["gen", "cube", "--out", "/dev/null"]) == 0
+
+
+def _reports(monkeypatch, tmp_path, commands) -> list[tuple[object, str]]:
+    """Each command's report object and the text `cli._emit` wrote for it."""
+    written, values = [], []
+    dumps = cli._dumps
+
+    def spy(x, indent=""):
+        if not indent:
+            values.append(x)
+        return dumps(x, indent)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    monkeypatch.setattr(cli, "_write_text", lambda path, text: written.append(text))
+    inputs = {"fig41": fig41(),
+              "blowup": blowup(BlowupSpec(andrasfai(3), (1, 2, 3, 1, 2, 3, 1, 2))),
+              "triangle": from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)])}
+    for name, g in inputs.items():
+        (tmp_path / name).write_text(write_elist(g))
+    for argv in commands:
+        main([str(tmp_path / arg[1:-1]) if arg[0] == "{" else arg for arg in argv])
+    assert len(values) == len(written) == len(commands)
+    return list(zip(values, written))
+
+
+def test_report_writer_matches_the_stdlib_on_every_command(monkeypatch, tmp_path):
+    commands = [
+        ["check", "--tf", "--in", "{triangle}"],
+        ["check", "--tf", "--in", "{fig41}"],
+        ["check", "--maximal", "--in", "{triangle}"],
+        ["check", "--maximal", "--in", "{fig41}"],
+        ["check", "--alpha", "--in", "{fig41}"],
+        ["check", "--d", "4", "--in", "{fig41}"],
+        ["check", "--q", "4", "--in", "{fig41}"],
+        ["recognize", "--in", "{blowup}"],
+        ["recognize", "--in", "{fig41}"],
+        ["recognize", "--in", "{triangle}"],
+        ["census", "--n", "6"],
+        ["hunt", "--max-n", "5"],
+        ["paper-verify", "--check", "c310", "--timings"],
+        ["extremal", "--n", "16", "--s", "7", "--search"],
+    ]
+    for report, text in _reports(monkeypatch, tmp_path, commands):
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_matches_the_stdlib_on_a_corpus(monkeypatch, tmp_path):
+    (report, _), = _reports(monkeypatch, tmp_path, [["recognize", "--in", "{blowup}"]])
+    assert "certificate" in report
+    corpus = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [[]]]},
+        [True, 1, False, 0], [[True, 1], [0, False]], None, [None], 0, True,
+        [-3, -1, 0], [2 ** 64 + 1, -(2 ** 70)], [[-1, 2 ** 65], [3, 4]],
+        [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)], (1, 2), [1.5, 2], {"x": 0.1, "y": [1e300]},
+        "caf\u00e9 \u2603 \U0001f600", ["tab\there", 'quote"back\\slash', "new\nline\x00"],
+        {"\u00e9": 1, "b\n": [2], "a": None}, {1: "one", 0: [2, 3]},
+        {"outer": {2: {"deep": [1, 2]}, 1: [1.25]}}, {"graph": report["graph"], "r": report},
+    ]
+    for value in corpus:
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -79,8 +79,9 @@ def _input_graph(args) -> Graph:
 
 
 def _dumps(x, indent: str = "") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` nested at ``indent``: int lists
-    and int pairs (edge lists) are joined at C speed, other leaves by the stdlib."""
+    """``json.dumps(x, indent=2, sort_keys=True)`` nested at ``indent``: int lists,
+    int pairs (edge lists) and scalars at C speed, only tuples and dicts with
+    non-str keys by the indented stdlib encoder."""
     inner = indent + "  "
     sep = ",\n" + inner
     if type(x) is dict and x and {str}.issuperset(map(type, x)):
@@ -96,13 +97,13 @@ def _dumps(x, indent: str = "") -> str:
         else:
             body = sep.join([_dumps(item, inner) for item in x])
         return "[\n" + inner + body + "\n" + indent + "]"
-    if x is None or type(x) in (str, bool):
+    if x is None or type(x) in (str, int, float, bool):
         return json.dumps(x)
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _emit(args, command: str, payload: dict, started: float) -> None:
-    report = {"command": command, "version": __version__}
+def _emit(args, payload: dict, started: float) -> None:
+    report = {"command": args.command, "version": __version__}
     report.update(payload)
     if getattr(args, "timings", False):
         report["elapsed"] = round(time.perf_counter() - started, 3)
@@ -157,29 +158,27 @@ def _build_family(args) -> tuple[Graph, Optional[dict[int, str]]]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[None, int]:
     g, labels = _build_family(args)
     if args.dot:
         _write_text(args.out, write_dot(g, labels, name=args.family.replace("-", "_")))
     else:
         _write_text(args.out, write_graph(g, args.format))
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 # -- check -----------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args) -> tuple[dict, int]:
     g = _input_graph(args)
     payload: dict = {"graph": graph_payload(g)}
-    code = EXIT_OK
     if args.tf:
         ok, triangle = is_triangle_free(g)
         payload["property"] = "triangle_free"
         payload["verdict"] = {"holds": ok, "triangle": list(triangle) if triangle else None}
-        code = EXIT_OK if ok else EXIT_FAIL
-    elif args.maximal:
+        return payload, EXIT_OK if ok else EXIT_FAIL
+    if args.maximal:
         result = is_maximal_triangle_free(g)
         payload["property"] = "maximal_triangle_free"
         payload["verdict"] = {
@@ -187,8 +186,8 @@ def _cmd_check(args) -> int:
             "triangle": list(result.triangle) if result.triangle else None,
             "missing_pair": list(result.missing_pair) if result.missing_pair else None,
         }
-        code = EXIT_OK if result.holds else EXIT_FAIL
-    elif args.alpha:
+        return payload, EXIT_OK if result.holds else EXIT_FAIL
+    if args.alpha:
         value, members = independence_number(g)
         degrees = g.degree_sequence()
         payload["property"] = "independence_number"
@@ -198,26 +197,23 @@ def _cmd_check(args) -> int:
             "min_degree": degrees[0],
             "max_degree": degrees[-1],
         }
-    else:
-        level = args.d if args.d is not None else args.q
-        checker = check_d if args.d is not None else check_q
-        verdict = checker(g, level)
-        payload["property"] = "covering" if args.d is not None else "covering_with_certificates"
-        payload["verdict"] = {
-            "holds": verdict.holds,
-            "level": verdict.level,
-            "witness": _weights_payload(verdict.witness),
-        }
-        code = EXIT_OK if verdict.holds else EXIT_FAIL
-    _emit(args, "check", payload, started)
-    return code
+        return payload, EXIT_OK
+    level = args.d if args.d is not None else args.q
+    checker = check_d if args.d is not None else check_q
+    verdict = checker(g, level)
+    payload["property"] = "covering" if args.d is not None else "covering_with_certificates"
+    payload["verdict"] = {
+        "holds": verdict.holds,
+        "level": verdict.level,
+        "witness": _weights_payload(verdict.witness),
+    }
+    return payload, EXIT_OK if verdict.holds else EXIT_FAIL
 
 
 # -- recognize ---------------------------------------------------------------
 
 
-def _cmd_recognize(args) -> int:
-    started = time.perf_counter()
+def _cmd_recognize(args) -> tuple[dict, int]:
     g = _input_graph(args)
     outcome = recognize(g)
     payload: dict = {"graph": graph_payload(g)}
@@ -227,19 +223,16 @@ def _cmd_recognize(args) -> int:
             "class_map": list(outcome.class_map),
             "weights": list(outcome.weights),
         }
-        code = EXIT_OK
-    else:
-        payload["refutation"] = {
-            "kind": outcome.kind,
-            "triangle": list(outcome.triangle) if outcome.triangle else None,
-            "missing_pair": list(outcome.missing_pair) if outcome.missing_pair else None,
-            "level": outcome.level,
-            "witness": _weights_payload(outcome.witness),
-            "details": outcome.details,
-        }
-        code = EXIT_FAIL
-    _emit(args, "recognize", payload, started)
-    return code
+        return payload, EXIT_OK
+    payload["refutation"] = {
+        "kind": outcome.kind,
+        "triangle": list(outcome.triangle) if outcome.triangle else None,
+        "missing_pair": list(outcome.missing_pair) if outcome.missing_pair else None,
+        "level": outcome.level,
+        "witness": _weights_payload(outcome.witness),
+        "details": outcome.details,
+    }
+    return payload, EXIT_FAIL
 
 
 # -- census / hunt -----------------------------------------------------------
@@ -259,35 +252,30 @@ def _row_payload(row) -> dict:
     }
 
 
-def _cmd_census(args) -> int:
-    started = time.perf_counter()
+def _cmd_census(args) -> tuple[dict, int]:
     try:
         rows = census(args.n, strict=args.assert_, allow_large=args.allow_large)
     except CensusError as exc:
-        _emit(args, "census", {
+        return {
             "n": args.n,
             "violation": {
                 "invariant": exc.violation.invariant,
                 "row": _row_payload(exc.violation.row),
             },
-        }, started)
-        return EXIT_FAIL
-    _emit(args, "census", {
+        }, EXIT_FAIL
+    return {
         "n": args.n,
         "count": len(rows),
         "rows": [_row_payload(row) for row in rows],
-    }, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_hunt(args) -> int:
-    started = time.perf_counter()
+def _cmd_hunt(args) -> tuple[dict, int]:
     hits = hunt_conjecture(args.max_n, allow_large=args.allow_large)
-    _emit(args, "hunt", {
+    return {
         "max_n": args.max_n,
         "counterexamples": [write_graph6(g) for g in hits],
-    }, started)
-    return EXIT_OK if not hits else EXIT_FAIL
+    }, EXIT_OK if not hits else EXIT_FAIL
 
 
 # -- paper-verify -------------------------------------------------------------
@@ -307,42 +295,33 @@ def _report_payload(report, timings: bool) -> dict:
     return payload
 
 
-def _cmd_paper_verify(args) -> int:
-    started = time.perf_counter()
-    if args.check == "all":
-        reports = run_all()
-    else:
-        reports = [run_check(args.check)]
+def _cmd_paper_verify(args) -> tuple[dict, int]:
+    reports = run_all() if args.check == "all" else [run_check(args.check)]
     failed = [r.name for r in reports if not r.passed]
-    _emit(args, "paper-verify", {
+    return {
         "checks": [_report_payload(r, args.timings) for r in reports],
         "failed": failed,
-    }, started)
-    return EXIT_FAIL if failed else EXIT_OK
+    }, EXIT_FAIL if failed else EXIT_OK
 
 
 # -- extremal ------------------------------------------------------------------
 
 
-def _cmd_extremal(args) -> int:
-    started = time.perf_counter()
+def _cmd_extremal(args) -> tuple[dict, int]:
     value = extremal_formula(args.n, args.s)
     payload: dict = {"n": args.n, "s": args.s, "formula_value": value}
-    code = EXIT_OK
-    if args.search:
-        result = search_extremal(args.n, args.s, max_order=args.max_order)
-        payload["search"] = {
-            "k": result.k,
-            "best_found": result.best_found,
-            "witnesses": [
-                {"template_graph6": write_graph6(spec.base), "weights": list(spec.weights)}
-                for spec in result.witnesses
-            ],
-        }
-        if result.best_found != value:
-            code = EXIT_FAIL
-    _emit(args, "extremal", payload, started)
-    return code
+    if not args.search:
+        return payload, EXIT_OK
+    result = search_extremal(args.n, args.s, max_order=args.max_order)
+    payload["search"] = {
+        "k": result.k,
+        "best_found": result.best_found,
+        "witnesses": [
+            {"template_graph6": write_graph6(spec.base), "weights": list(spec.weights)}
+            for spec in result.witnesses
+        ],
+    }
+    return payload, EXIT_OK if result.best_found == value else EXIT_FAIL
 
 
 # -- parser --------------------------------------------------------------------
@@ -437,8 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        if payload is not None:
+            _emit(args, payload, started)
+        return code
     except (ResourceGuardError, ValueError, OSError) as exc:
         print(f"trifree: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 1024
 
@@ -244,18 +244,22 @@ def _leaf_key(rows: Sequence[int], n: int, position: Sequence[int]) -> tuple[int
     return tuple(key)
 
 
+def _closure(seeds: Iterable, step: Callable[..., Iterable]) -> set:
+    """The least set holding `seeds` and closed under `step`, which yields
+    the images of one element."""
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        for img in step(frontier.pop()):
+            if img not in closed:
+                closed.add(img)
+                frontier.append(img)
+    return closed
+
+
 def _orbit(seeds: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
     """The closure of `seeds` under the maps in `gens`."""
-    orbit = set(seeds)
-    frontier = list(orbit)
-    while frontier:
-        u = frontier.pop()
-        for a in gens:
-            img = a[u]
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return orbit
+    return _closure(seeds, lambda u: [a[u] for a in gens])
 
 
 def _canonical_search(

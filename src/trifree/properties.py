@@ -330,13 +330,15 @@ def _decide(g: Graph, k: int, bounded, search) -> Verdict:
     return Verdict(True, k, None)
 
 
-def _on_quotient(g: Graph, run, validate) -> Verdict:
-    """Run a check on the twin quotient; lift a witness or certificate onto
+def _on_quotient(g: Graph, k: int, decide, validate) -> Verdict:
+    """``decide`` on the twin quotient; lift a witness or certificate onto
     the class representatives, 0 elsewhere.  A vertex's neighbourhood holds
     the representatives of its quotient neighbours, so sums are unchanged.
     ``validate`` re-checks the lifted witness on g."""
+    if k < 1:
+        raise ValueError(f"level must be >= 1, got {k}")
     partition, q = quotient(g)
-    verdict = run(q)
+    verdict = decide(q, k)
 
     def lift(values):
         on_rep = dict(zip(partition.representatives, values))
@@ -353,38 +355,40 @@ def _on_quotient(g: Graph, run, validate) -> Verdict:
     return verdict
 
 
-def check_d(g: Graph, k: int, direct: bool = False) -> Verdict:
+def check_d(g: Graph, k: int) -> Verdict:
     """Decide the plain covering property up to level k.
 
     For each m = 1..k every weighting of total 3m must put weight at least
     m+1 on the open neighbourhood of some vertex; the first refuting
-    weighting (in search order) is returned as the witness.  Runs on the
-    twin quotient unless ``direct`` is set.  With every vertex bounded, a
-    dual certificate (see the module docstring) proves all levels at once;
+    weighting (in search order) is returned as the witness.  One decision
+    runs on the twin quotient: with every vertex bounded, a dual
+    certificate (see the module docstring) proves all levels at once;
     otherwise levels are searched in increasing order.
     """
-    if k < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
-    if not direct:
-        return _on_quotient(g, lambda h: check_d(h, k, direct=True), validate_d_witness)
+    return _on_quotient(g, k, _check_d, validate_d_witness)
+
+
+def _check_d(g: Graph, k: int) -> Verdict:
+    """`check_d` decided on g itself."""
     return _decide(g, k, [True] * g.n,
                    lambda m: _coverage_search(g, m, [m] * g.n, lambda _: True))
 
 
-def check_q(g: Graph, k: int, direct: bool = False) -> Verdict:
+def check_q(g: Graph, k: int) -> Verdict:
     """Decide the independent-certificate covering property up to level k.
 
     A witness weighting admits no independent support subset of weight m+2
-    and none of weight m+1 with a common neighbour.  The search prunes by
-    coverage at every vertex whose neighbourhood is independent (all of
-    them on triangle-free input): weight above m there already fails the
-    second condition.  The same vertices bound the dual certificate, which
-    proves all levels at once; otherwise levels are searched in order.
+    and none of weight m+1 with a common neighbour.  As in `check_d`, one
+    decision runs on the twin quotient.  Its search prunes by coverage at
+    every vertex whose neighbourhood is independent (all of them on
+    triangle-free input): weight above m there already fails the second
+    condition.  The same vertices bound the dual certificate.
     """
-    if k < 1:
-        raise ValueError(f"level must be >= 1, got {k}")
-    if not direct:
-        return _on_quotient(g, lambda h: check_q(h, k, direct=True), validate_q_witness)
+    return _on_quotient(g, k, _check_q, validate_q_witness)
+
+
+def _check_q(g: Graph, k: int) -> Verdict:
+    """`check_q` decided on g itself."""
     independent = [all(not g.adj[v] & row for v in _bits(row)) for row in g.adj]
     return _decide(g, k, independent, lambda m: _coverage_search(
         g, m, [m if ind else 3 * m for ind in independent],

@@ -73,22 +73,17 @@ def template_graph(family: Union[AndrasfaiId, VegaId]) -> Graph:
 def _candidates(order: int):
     """Template ids of the given order: the Andrásfai graph first, then Vega.
 
-    When order = 2 (mod 3) both families have members of that order.  A
-    quotient matches at most one of them: Andrásfai graphs are
-    3-colourable, and every Vega graph contains the 4-chromatic 11-vertex
-    graph, so a quotient without that graph matches no Vega template and
-    one with it matches no Andrásfai template.
+    When order = 2 (mod 3) both families have members of that order; the
+    module docstring says why a quotient matches at most one of them.
     """
     out: list[Union[AndrasfaiId, VegaId]] = []
     if order % 3 == 2:
         out.append(AndrasfaiId((order + 1) // 3))
     # order = 3i + 7 - (mu + nu) forces mu + nu mod 3, hence one i
-    for drop in (0, 1, 2):
-        if (order - 7 + drop) % 3 == 0:
-            i = (order - 7 + drop) // 3
-            if i >= 2:
-                pairs = [(0, 0)] if drop == 0 else [(0, 1), (1, 0)] if drop == 1 else [(1, 1)]
-                out.extend(VegaId(i, mu, nu) for mu, nu in pairs)
+    for mu, nu in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        i, r = divmod(order - 7 + mu + nu, 3)
+        if not r and i >= 2:
+            out.append(VegaId(i, mu, nu))
     return out
 
 

@@ -37,6 +37,7 @@ from .graph import (
     BlowupSpec,
     Graph,
     _bits,
+    _closure,
     _independent_masks,
     _inverse,
     _orbit,
@@ -49,12 +50,7 @@ from .graph import (
     from_edge_list,
     quotient,
 )
-from .properties import (
-    check_d,
-    check_q,
-    independence_number,
-    is_triangle_free,
-)
+from .properties import _check_d, _check_q, independence_number, is_triangle_free
 from .recognition import match_template
 
 ENUMERATION_GUARD = 12
@@ -105,19 +101,6 @@ Level = list[tuple[Graph, list[tuple[int, ...]]]]  # canonical graphs, each with
 _tf_levels: list[Level] = [[], [(Graph(1, [0]), [])]]  # triangle-free, by order
 
 
-def _mask_orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
-    """The images of a vertex mask under the group generated by gens."""
-    orbit, frontier = {mask}, [mask]
-    while frontier:
-        m = frontier.pop()
-        for a in gens:
-            img = sum(1 << a[v] for v in _bits(m))
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return orbit
-
-
 def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]]) -> Level:
     """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g):
     one per isomorphism class by canonical augmentation, canonical, sorted,
@@ -132,7 +115,7 @@ def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]]) -> Level:
             # x needs least degree in g + x; the test is Aut(g)-invariant
             if mask in done or mask.bit_count() > low + (not at_low & ~mask):
                 continue
-            done |= _mask_orbit(mask, gens)
+            done |= _closure((mask,), lambda m: [sum(1 << a[v] for v in _bits(m)) for a in gens])
             rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
             h = Graph(g.n + 1, rows + [mask])
             p, qpos, autos, _ = canonical_labeling(h)
@@ -192,20 +175,20 @@ _UPSILON = mycielski_grotzsch()[0]
 def census_row(g: Graph) -> CensusRow:
     """Classify g; every check runs on one twin quotient.
 
-    That is exact: the covering verdicts of g are those of its quotient;
-    both patterns are twin-free, so `induced_copies` explains why each has a
-    copy in g iff it has one in the quotient; and `match_template` gives the
-    certificate `recognize(g)` would.
+    That is exact: the covering verdicts of g are those of its quotient,
+    decided as `check_d` and `check_q` decide theirs; both patterns are
+    twin-free, so `induced_copies` explains why each has a copy in g iff it
+    has one in the quotient; and `match_template` gives the certificate
+    `recognize(g)` would.
     """
     partition, q = quotient(g)
-    d = check_d(q, 4, direct=True)
+    d = _check_d(q, 4)
     d2 = d.holds or d.level > 2
     d3 = d.holds or d.level > 3
-    # on a triangle-free q every neighbourhood is independent, so check_q
-    # would bound the same vertices and solve the same LP: a D certificate
-    # proves Q too
+    # on a triangle-free q every neighbourhood is independent, so _check_q would
+    # bound the same vertices and solve the same LP: a D certificate proves Q too
     same_lp = d.certificate is not None and is_triangle_free(q)[0]
-    q4 = same_lp or check_q(q, 4, direct=True).holds
+    q4 = same_lp or _check_q(q, 4).holds
     certificate = match_template(partition, q)
     recognized = certificate.family if certificate is not None else None
     induced_c6 = next(find_induced_all(q, _C6), None) is not None
@@ -257,24 +240,17 @@ def census(n: int, strict: bool = True, allow_large: bool = False) -> list[Censu
 
 def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs up to max_n vertices where the
-    level-3 covering property holds but level 4 fails.
+    level-3 covering property holds but level 4 fails: the graphs of the
+    rows of `census(n, strict=False)` with d3 and not d4, in census order.
 
-    Hits are re-validated by one direct (non-quotient) level-4 search before
-    being reported; it returns the first failing level, so it decides level
-    3 too.  Completeness over the searched range is the contract, not
-    existence of a hit.  A max_n above the guard is refused before any
-    order is enumerated.
+    The first failing level decides level 3 too.  Completeness over the
+    searched range is the contract, not existence of a hit.  A max_n above
+    the guard is refused before any order is enumerated.
     """
     _guard(max_n, allow_large)
-    hits = []
-    for n in range(2, max_n + 1):
-        for g in enumerate_maximal_tf(n, allow_large):
-            verdict = check_d(g, 4)
-            if not verdict.holds and verdict.level == 4:
-                direct = check_d(g, 4, direct=True)
-                if not direct.holds and direct.level == 4:
-                    hits.append(g)
-    return hits
+    return [row.graph for n in range(2, max_n + 1)
+            for row in census(n, strict=False, allow_large=allow_large)
+            if row.d3 and not row.d4]
 
 
 def _template_optimum(

@@ -160,6 +160,37 @@ def covering_oracle(g: Graph, k: int, q: bool = False):
     return True, k, None
 
 
+def direct_covering_oracle(g: Graph, k: int):
+    """(holds, level, witness) of the plain covering property, searched level
+    by level on g itself: no twin quotient and no LP step.
+
+    The reference for `check_d`, which decides the twin quotient and may
+    prove every level at once by a dual certificate.
+    """
+    for m in range(1, k + 1):
+        witness = knapsack_coverage_search(g, m, *level_search_args(g, m, False))
+        if witness is not None:
+            return False, m, witness
+    return True, k, None
+
+
+def group_order_oracle(order: int, generators) -> int:
+    """The order of the permutation group generated by ``generators``, by
+    closing the identity under them one element at a time."""
+    idmap = tuple(range(order))
+    group = {idmap}
+    frontier = [idmap]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        current = frontier.pop()
+        for gen in gens:
+            nxt = tuple(gen[current[v]] for v in range(order))
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return len(group)
+
+
 def extremal_oracle(template: Graph, n: int, s: int):
     """(best, weightings) of the walk with the headroom prune only.
 

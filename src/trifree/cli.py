@@ -286,7 +286,6 @@ def _report_payload(report, timings: bool) -> dict:
         "name": report.name,
         "parameters": {},  # the catalog is fixed; the key keeps reports stable
         "passed": report.passed,
-        "seed": report.seed,
         "counterexample": report.counterexample,
         "details": report.details,
     }

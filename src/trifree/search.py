@@ -150,7 +150,10 @@ def _saturating_masks(g: Graph) -> list[int]:
 
 
 def _guard(n: int, allow_large: bool) -> None:
-    """Refuse enumeration at order n above the guard unless allowed."""
+    """Refuse an order below 2, and enumeration at order n above the guard
+    unless allowed."""
+    if n < 2:
+        raise ValueError(f"order must be at least 2, got {n}")
     if n > ENUMERATION_GUARD and not allow_large:
         raise ResourceGuardError(
             f"enumeration at order {n} exceeds the default guard of "
@@ -161,8 +164,6 @@ def _guard(n: int, allow_large: bool) -> None:
 def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs on n vertices, one per isomorphism
     class, in canonical form, sorted by canonical adjacency."""
-    if n < 2:
-        raise ValueError(f"order must be at least 2, got {n}")
     _guard(n, allow_large)
     _tf_graphs(n - 1)  # builds the levels below
     return [g for g, _ in _attach(_tf_levels[n - 1], _saturating_masks)]
@@ -244,8 +245,8 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
     rows of `census(n, strict=False)` with d3 and not d4, in census order.
 
     The first failing level decides level 3 too.  Completeness over the
-    searched range is the contract, not existence of a hit.  A max_n above
-    the guard is refused before any order is enumerated.
+    searched range is the contract, not existence of a hit.  A max_n below
+    2 or above the guard is refused before any order is enumerated.
     """
     _guard(max_n, allow_large)
     return [row.graph for n in range(2, max_n + 1)

@@ -174,6 +174,24 @@ def direct_covering_oracle(g: Graph, k: int):
     return True, k, None
 
 
+def nine_vertex_assert(host: Graph, emb) -> int | None:
+    """The conclusion of the graph-N lemma on one copy of N in host.
+
+    ``emb`` maps N's vertices a1..a3, b1..b3, c1..c3 (`families.graph_n`)
+    to host vertices.  For each i whose c_{i-1}, c_{i+1} are not adjacent,
+    a_i, b_i, c_{i-1} and c_{i+1} must have a common neighbour; the first i
+    without one is returned, or None when the conclusion holds.
+    """
+    for i in range(3):
+        a_i, b_i = emb[i], emb[3 + i]
+        c_prev, c_next = emb[6 + (i - 1) % 3], emb[6 + (i + 1) % 3]
+        if host.has_edge(c_prev, c_next):
+            continue
+        if not (host.adj[a_i] & host.adj[b_i] & host.adj[c_prev] & host.adj[c_next]):
+            return i
+    return None
+
+
 def group_order_oracle(order: int, generators) -> int:
     """The order of the permutation group generated by ``generators``, by
     closing the identity under them one element at a time."""

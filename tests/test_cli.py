@@ -201,6 +201,11 @@ def test_exit_codes():
     assert run_cli(["check", "--tf"], stdin="garbage\n").returncode == 3
     assert run_cli(["recognize"], stdin="p tf 1\n").returncode == 3  # too small
     assert run_cli(["census", "--n", "13"]).returncode == 3          # guard
+    for order in ("1", "0", "-1"):                                   # below 2
+        for command in (["census", "--n", order], ["hunt", "--max-n", order]):
+            refused = run_cli(command)
+            assert refused.returncode == 3 and refused.stdout == ""
+            assert f"order must be at least 2, got {order}" in refused.stderr
     assert run_cli(["extremal", "--n", "10", "--s", "3"]).returncode == 3
     capped = run_cli(["extremal", "--n", "32", "--s", "12", "--search"])  # above --max-order
     assert capped.returncode == 3 and "Traceback" not in capped.stderr

@@ -10,6 +10,7 @@ from conftest import (
     brute_force_maximal_tf,
     extremal_oracle,
     group_order_oracle,
+    knapsack_coverage_search,
     nx_independence_number,
 )
 
@@ -24,9 +25,10 @@ from trifree.graph import (
     canonical_form,
     from_edge_list,
     isomorphic,
+    quotient,
     relabel,
 )
-from trifree.properties import is_maximal_triangle_free, is_triangle_free
+from trifree.properties import _coverage_search, is_maximal_triangle_free, is_triangle_free
 import trifree.search as search_module
 from trifree.search import (
     CensusRow,
@@ -204,6 +206,55 @@ def test_census_solves_each_covering_lp_once(monkeypatch):
     # check_q on these triangle-free rows would prove check_d's LP again: 20 calls
     assert all(row.q4 for row in rows)
     assert calls == len(rows) == 10
+
+
+def _levels_alone(n: int) -> dict:
+    """graph6 -> the covering levels m = 1..4 that hold each on its own, for
+    every census row of order n, decided on the twin quotient by the library
+    search and by the knapsack reference, which must give the same witness."""
+    levels = {}
+    for row in census(n, strict=False, allow_large=True):
+        _, q = quotient(row.graph)
+        holding = []
+        for m in range(1, 5):
+            args = (q, m, [m] * q.n, lambda _: True)
+            witness = _coverage_search(*args)
+            assert witness == knapsack_coverage_search(*args)
+            if witness is None:
+                holding.append(m)
+        # level 2 alone, and level 4 alone, hold exactly on the blow-ups
+        assert (2 in holding) == (row.recognized is not None) == (4 in holding)
+        levels[write_graph6(row.graph)] = tuple(holding)
+    return levels
+
+
+def _level_table(levels: dict) -> list[int]:
+    """Rows holding all four levels, levels 1 and 3 only, level 1 only."""
+    table = [sum(1 for h in levels.values() if h == want)
+             for want in ((1, 2, 3, 4), (1, 3), (1,))]
+    assert sum(table) == len(levels)
+    return table
+
+
+def test_census_levels_alone():
+    # the census decides the levels cumulatively; each alone is sharper
+    small = {}
+    for n in range(2, 9):
+        small.update(_levels_alone(n))
+    assert _level_table(small) == [27, 0, 0]
+    nine = _levels_alone(9)
+    assert _level_table(nine) == [15, 1, 0]
+    assert _level_table(_levels_alone(10)) == [26, 4, 1]
+    # the smallest row where level 3 holds on its own and level 2 does not
+    assert nine["H?LTMRo"] == (1, 3)
+    _, q = quotient(next(row.graph for row in census(9)
+                         if write_graph6(row.graph) == "H?LTMRo"))
+    assert _coverage_search(q, 2, [2] * q.n, lambda _: True) == (0, 1, 1, 0, 1, 1, 1, 1, 0)
+
+
+@pytest.mark.slow
+def test_census_levels_alone_n11():
+    assert _level_table(_levels_alone(11)) == [43, 16, 2]
 
 
 def test_census_row_of_pentagon():

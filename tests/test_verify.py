@@ -6,28 +6,26 @@ import inspect
 import json
 
 import pytest
+from conftest import nine_vertex_assert
 
 import trifree.families as families_module
-import trifree.graph as graph_module
 import trifree.verify as verify_module
 from trifree.cli import main
-from trifree.families import aux_paths, mycielski_grotzsch
-from trifree.formats import parse_elist
-from trifree.graph import Graph, twin_partition
-from trifree.verify import (
-    SEEDS,
-    _REGISTRY,
-    _nine_vertex_assert,
-    check_names,
-    run_check,
-)
+from trifree.families import aux_paths, cube, graph_n, mycielski_grotzsch
+from trifree.formats import parse_elist, write_graph6
+from trifree.graph import Graph, from_edge_list, induced_copies
+from trifree.properties import check_d, is_triangle_free, validate_d_witness
+from trifree.search import census
+from trifree.verify import _REGISTRY, check_names, run_check
 
 EXPECTED_CHECKS = [
     "c310", "degree_table", "edge_identity", "cube_lemma", "graph_n_lemma",
     "beautiful", "indep_classification", "no_small_neighborhood",
-    "aux_embeddings", "gamma_twin_attach", "vega_twin_attach",
-    "automorphisms", "cayley_d2", "kappa_blowup", "hexagon_prop",
+    "aux_embeddings", "automorphisms", "cayley_d2", "kappa_blowup",
+    "hexagon_prop",
 ]
+
+C5 = Graph(5, [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)])
 
 
 def test_registry_is_complete():
@@ -39,29 +37,27 @@ def test_unknown_check_name():
         run_check("nonexistent")
 
 
-def test_reports_carry_seeds_and_parameters(tmp_path):
+def test_reports_carry_details_and_parameters(tmp_path):
     report = run_check("degree_table")
     assert report.name == "degree_table"
     assert report.passed and report.counterexample is None
-    assert report.seed is None  # deterministic check
-    seeded = run_check("gamma_twin_attach")
-    assert seeded.seed == SEEDS["gamma_twin_attach"]
-    assert set(SEEDS) == {"gamma_twin_attach", "vega_twin_attach"}
-    # the pattern checks walk the templates alone and count the copies;
-    # no template contains graph N, so graph_n_lemma holds vacuously
+    # the pattern checks walk the templates alone and count the copies; no
+    # template contains the cube or graph N, and any copy would fail
     for name, copies in (("cube_lemma", 0), ("graph_n_lemma", 0), ("beautiful", 2430)):
         pattern_report = run_check(name)
-        assert pattern_report.passed and pattern_report.seed is None
+        assert pattern_report.passed
         assert pattern_report.details == {"copies": copies}
     # the catalog is fixed, and the report keeps its empty parameter map
     out = tmp_path / "report.json"
     assert main(["paper-verify", "--check", "degree_table", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["checks"][0]["parameters"] == {}
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["parameters"] == {}
+    assert sorted(check) == ["counterexample", "details", "name", "parameters", "passed"]
 
 
 def test_no_small_neighborhood_checks_each_member_row(monkeypatch):
     report = run_check("no_small_neighborhood")
-    assert report.passed and report.seed is None
+    assert report.passed
     monkeypatch.setattr(verify_module, "_small_set", lambda lab, mask: True)
     mutant = run_check("no_small_neighborhood")
     assert not mutant.passed
@@ -106,12 +102,7 @@ def test_aux_embeddings_failure_names_the_path(monkeypatch):
     assert str(list(first)) in counterexample["reason"]
 
 
-def test_cube_lemma_failure_carries_the_embedding(monkeypatch):
-    c5 = Graph(5, [1 << (v - 1) % 5 | 1 << (v + 1) % 5 for v in range(5)])
-    monkeypatch.setattr(verify_module, "cube", lambda: c5)
-    report = run_check("cube_lemma")
-    assert not report.passed and report.details == {"copies": 1}
-    counterexample = report.counterexample
+def _assert_induced_c5_copy(counterexample):
     assert counterexample["member"] == "circulant k=2"  # andrasfai(2) is C5
     host = parse_elist(counterexample["graph"])
     embedding = counterexample["embedding"]
@@ -121,19 +112,20 @@ def test_cube_lemma_failure_carries_the_embedding(monkeypatch):
         assert not host.has_edge(embedding[v], embedding[(v + 2) % 5])
 
 
-def test_twin_attach_checks_search_twin_free_hosts(monkeypatch):
-    hosts = []
-    original = graph_module.find_induced_all
+def test_cube_lemma_failure_carries_the_embedding(monkeypatch):
+    monkeypatch.setattr(verify_module, "cube", lambda: C5)
+    report = run_check("cube_lemma")
+    assert not report.passed and report.details == {"copies": 1}
+    assert report.counterexample["reason"] == "induced cube found"
+    _assert_induced_c5_copy(report.counterexample)
 
-    def recorded(host, pattern):
-        hosts.append(host)
-        return original(host, pattern)
 
-    monkeypatch.setattr(graph_module, "find_induced_all", recorded)
-    assert run_check("gamma_twin_attach").passed
-    assert run_check("vega_twin_attach").passed
-    assert hosts
-    assert all(len(twin_partition(h).classes) == h.n for h in hosts)
+def test_graph_n_lemma_failure_carries_the_embedding(monkeypatch):
+    monkeypatch.setattr(verify_module, "graph_n", lambda: C5)
+    report = run_check("graph_n_lemma")
+    assert not report.passed and report.details == {"copies": 1}
+    assert report.counterexample["reason"] == "induced graph N found"
+    _assert_induced_c5_copy(report.counterexample)
 
 
 def test_deletion_pair_check_details():
@@ -165,17 +157,46 @@ def test_kappa_and_cayley_checks():
     assert run_check("cayley_d2").passed
 
 
-def test_failure_payload_revalidates():
-    # the nine-vertex pattern alone is not in the covered class, so its own
-    # identity embedding violates the common-neighbor conclusion; this
-    # exercises the payload plumbing with a genuine failure
-    from trifree.families import graph_n
+def _census_rows_with(pattern, orders):
+    return [row for n in orders for row in census(n, strict=False, allow_large=True)
+            if next(induced_copies(row.graph, pattern), None) is not None]
 
-    host = graph_n()
-    payload = _nine_vertex_assert(host, tuple(range(9)))
-    assert payload is not None
-    rebuilt = parse_elist(payload["graph"])
-    assert rebuilt.adj == host.adj
-    again = _nine_vertex_assert(rebuilt, tuple(payload["embedding"]))
-    assert again is not None
-    assert again["index"] == payload["index"]
+
+def _assert_graph_n_rows_fail_level_two(rows):
+    """Every copy of N in these rows fails the nine-vertex assertion, and
+    every row fails level 2: the lemma's hypothesis is what excludes them."""
+    for row in rows:
+        copies = list(induced_copies(row.graph, graph_n()))
+        assert len(copies) == 120
+        assert all(nine_vertex_assert(row.graph, emb) is not None for emb in copies)
+        verdict = check_d(row.graph, 4)
+        assert not verdict.holds and verdict.level == 2
+        assert validate_d_witness(row.graph, 2, verdict.witness)
+
+
+def test_nine_vertex_assertion_holds_with_common_neighbours():
+    n = graph_n()
+    assert nine_vertex_assert(n, tuple(range(9))) == 0
+    # x_i joined to a_i, b_i, c_{i-1}, c_{i+1}, an independent set of N
+    edges = list(n.edges())
+    for i in range(3):
+        edges += [(9 + i, v) for v in (i, 3 + i, 6 + (i - 1) % 3, 6 + (i + 1) % 3)]
+    host = from_edge_list(12, edges)
+    assert is_triangle_free(host)
+    assert nine_vertex_assert(host, tuple(range(9))) is None
+
+
+def test_census_rows_with_graph_n_fail_level_two():
+    rows = _census_rows_with(graph_n(), range(2, 11))
+    assert [write_graph6(row.graph) for row in rows] == ["I?LRCecq?"]
+    _assert_graph_n_rows_fail_level_two(rows)
+    assert check_d(rows[0].graph, 4).witness == (0, 0, 1, 1, 0, 1, 1, 1, 1, 0)
+    assert _census_rows_with(cube(), range(2, 11)) == []
+
+
+@pytest.mark.slow
+def test_census_rows_with_graph_n_fail_level_two_n11():
+    rows = _census_rows_with(graph_n(), [11])
+    assert [write_graph6(row.graph) for row in rows] == ["J@Q??|eiec?", "J@HIcUSwF??"]
+    _assert_graph_n_rows_fail_level_two(rows)
+    assert _census_rows_with(cube(), [11]) == []

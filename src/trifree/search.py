@@ -15,16 +15,19 @@ only one mask per orbit is tried.  The candidate's one canonical search
 gives the test, the canonical form and the automorphism generators kept
 for the next level.
 
-The maximal graphs on n vertices attach x to level n-1 only along maximal
-independent sets S that hold both ends of every deficient pair (two
-non-adjacent vertices with no common neighbour): S independent keeps g + x
-triangle-free, S dominating and x filling every deficient pair make it
-maximal.  This is complete: for any vertex v of a maximal triangle-free G,
-G - v lies in level n-1 up to relabelling, and N(v) is independent,
-dominates the rest (v shares a neighbour with every non-neighbour) and holds
-both ends of every pair whose only common neighbour in G is v.  So the
-canonical vertex qualifies, and the same augmentation is complete and
-isomorph-free over these masks, which are closed under Aut(g).
+The maximal graphs on n vertices attach x to a g of level n-1 only along
+saturating masks: maximal independent sets that hold both ends of every
+deficient pair (non-adjacent, no common neighbour).  Independent keeps g + x
+triangle-free; dominating, with x filling every deficient pair, makes it
+maximal.  Complete: for any vertex v of a maximal G, N(v) is independent,
+dominates G - v and holds every pair whose only common neighbour is v; so
+the canonical vertex qualifies, and these masks are closed under Aut(g).
+The parents g are built from level n-2 by the same augmentation, keeping a
+candidate h, before its canonical search, only if a saturating mask of h
+passes the least-degree test.  That is the step's own test on each parent,
+so no dropped h gives a candidate; it is isomorphism-invariant, so whole
+classes drop; and the canonical parent G - v of every maximal G passes, as
+N(v) is saturating and v has least degree.
 """
 
 from __future__ import annotations
@@ -101,23 +104,31 @@ Level = list[tuple[Graph, list[tuple[int, ...]]]]  # canonical graphs, each with
 _tf_levels: list[Level] = [[], [(Graph(1, [0]), [])]]  # triangle-free, by order
 
 
-def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]]) -> Level:
-    """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g):
-    one per isomorphism class by canonical augmentation, canonical, sorted,
-    and paired with Aut generators as the graphs of ``level`` are."""
+def _least_degree_test(g: Graph) -> Callable[[int], bool]:
+    """Whether x joined to a mask has least degree in g + x; Aut(g)-invariant."""
+    low = min(row.bit_count() for row in g.adj)
+    at_low = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == low)
+    return lambda mask: mask.bit_count() <= low + (not at_low & ~mask)
+
+
+def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]],
+            then: Optional[Callable[[Graph], Iterable[int]]] = None) -> Level:
+    """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g),
+    and, with ``then``, with a mask of then(g + x) passing the degree test: one
+    per class by canonical augmentation, canonical, sorted, with Aut generators."""
     out = []
     for g, gens in level:
         x = 1 << g.n
-        low = min(row.bit_count() for row in g.adj)
-        at_low = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == low)
+        fits = _least_degree_test(g)
         done: set[int] = set()
         for mask in masks_of(g):
-            # x needs least degree in g + x; the test is Aut(g)-invariant
-            if mask in done or mask.bit_count() > low + (not at_low & ~mask):
+            if mask in done or not fits(mask):
                 continue
             done |= _closure((mask,), lambda m: [sum(1 << a[v] for v in _bits(m)) for a in gens])
             rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
             h = Graph(g.n + 1, rows + [mask])
+            if then is not None and not any(map(_least_degree_test(h), then(h))):
+                continue  # before the search: the test is isomorphism-invariant
             p, qpos, autos, _ = canonical_labeling(h)
             # the canonical vertex: least degree, then first in canonical order
             degree = [h.adj[cls[0]].bit_count() for cls in p.classes]
@@ -140,12 +151,15 @@ def _tf_graphs(n: int) -> list[Graph]:
 
 
 def _saturating_masks(g: Graph) -> list[int]:
-    """The maximal independent sets of g that hold every deficient pair."""
+    """The maximal independent sets of g that hold every deficient pair; none,
+    at once, when the ends of those pairs are not independent."""
     deficient = 0
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.adj[u] >> v & 1 and not g.adj[u] & g.adj[v]:
                 deficient |= 1 << u | 1 << v
+    if any(g.adj[v] & deficient for v in _bits(deficient)):
+        return []
     return [m for m in _maximal_independent_sets(g) if m & deficient == deficient]
 
 
@@ -165,8 +179,9 @@ def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs on n vertices, one per isomorphism
     class, in canonical form, sorted by canonical adjacency."""
     _guard(n, allow_large)
-    _tf_graphs(n - 1)  # builds the levels below
-    return [g for g, _ in _attach(_tf_levels[n - 1], _saturating_masks)]
+    _tf_graphs(n - 2)  # the full levels below; of level n-1, only the parents
+    parents = _attach(_tf_levels[n - 2], _independent_masks, _saturating_masks)
+    return [g for g, _ in _attach(parents if n > 2 else _tf_levels[1], _saturating_masks)]
 
 
 _C6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])

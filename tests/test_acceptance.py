@@ -161,7 +161,6 @@ def test_criterion_4_census():
                     assert row.contains_upsilon
 
 
-@pytest.mark.slow
 def test_criterion_4_census_n11():
     with criterion(4, "optional census extension, n = 11", budget=None):
         for row in census(11, strict=True, allow_large=True):

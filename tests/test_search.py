@@ -33,6 +33,8 @@ import trifree.search as search_module
 from trifree.search import (
     CensusRow,
     ResourceGuardError,
+    _attach,
+    _least_degree_test,
     _maximal_independent_sets,
     _saturating_masks,
     _tf_graphs,
@@ -124,6 +126,21 @@ def test_stored_generators_generate_the_automorphism_group():
             assert group_order_oracle(n, gens) == automorphism_order(g)
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pruned_parents_are_the_filtered_level(n):
+    # the parents of the maximal step are exactly the graphs of level n-1
+    # that a maximal graph can hang on, in the same order
+    _tf_graphs(n - 1)
+    parents = _attach(search_module._tf_levels[n - 2], _independent_masks, _saturating_masks)
+    assert [g for g, _ in parents] == [
+        g for g in _tf_graphs(n - 1)
+        if any(map(_least_degree_test(g), _saturating_masks(g)))]
+    if n <= 8:
+        for g, gens in parents:
+            assert all(relabel(g, a) == g for a in gens)
+            assert group_order_oracle(g.n, gens) == automorphism_order(g)
+
+
 def _count_searches(monkeypatch) -> list[int]:
     calls = [0]
     original = search_module.canonical_labeling
@@ -144,9 +161,16 @@ def test_canonical_searches_per_level_are_pinned(monkeypatch):
     calls = _count_searches(monkeypatch)
     assert len(_tf_graphs(9)) == 1897
     assert 1897 <= calls[0] <= 3100
+    # the maximal step builds its 35 parents from level 8 in 50 searches,
+    # then 31 maximal graphs in 47
+    calls[0] = 0
+    parents = _attach(search_module._tf_levels[8], _independent_masks, _saturating_masks)
+    assert (len(parents), calls[0]) == (35, 50)
+    calls[0] = 0
+    assert (len(_attach(parents, _saturating_masks)), calls[0]) == (GOLDEN_COUNTS[10], 47)
     calls[0] = 0
     assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
-    assert 31 <= calls[0] <= 50
+    assert calls[0] == 97
 
 
 def test_maximal_step_never_builds_the_full_level(monkeypatch):
@@ -155,7 +179,7 @@ def test_maximal_step_never_builds_the_full_level(monkeypatch):
     monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:10])
     calls = _count_searches(monkeypatch)
     assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
-    # recomputed from level 9, with fewer candidates than level 9 has graphs
+    # built from level 8, with fewer searches than level 9 has graphs
     assert parents == 1897
     assert 0 < calls[0] < parents
     assert len(search_module._tf_levels) == 10
@@ -252,7 +276,6 @@ def test_census_levels_alone():
     assert _coverage_search(q, 2, [2] * q.n, lambda _: True) == (0, 1, 1, 0, 1, 1, 1, 1, 0)
 
 
-@pytest.mark.slow
 def test_census_levels_alone_n11():
     assert _level_table(_levels_alone(11)) == [43, 16, 2]
 

@@ -194,7 +194,6 @@ def test_census_rows_with_graph_n_fail_level_two():
     assert _census_rows_with(cube(), range(2, 11)) == []
 
 
-@pytest.mark.slow
 def test_census_rows_with_graph_n_fail_level_two_n11():
     rows = _census_rows_with(graph_n(), [11])
     assert [write_graph6(row.graph) for row in rows] == ["J@Q??|eiec?", "J@HIcUSwF??"]

@@ -14,8 +14,11 @@ metric over the seeds.  When the traced record of the first seed
 counters sit next to the medians under ``calls``.  ``reports_differ`` lists,
 per workload, the operations whose report sha256 (``repetitions[].sha256`` of
 the untraced records) differs between the two checkouts on some seed; an
-empty list means every report was byte-identical.  Stdlib only; it does not
-import trifree.
+empty list means every report was byte-identical.  ``wall_s`` gives, per
+workload, each side's wall_s quartiles over the seeds and the number of
+seeds on which the change ran faster than the parent (ties count for
+neither), which is what a claimed gain is judged by.  Stdlib only; it does
+not import trifree.
 """
 
 from __future__ import annotations
@@ -100,6 +103,27 @@ def reports_differ(parent: str, change: str, workloads, seeds) -> dict[str, list
     return differ
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile, inclusive of the ends."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def wall_s(parent: dict, change: dict, workloads) -> dict:
+    """Per workload, both sides' wall_s quartiles and the seeds the change won."""
+    summary = {}
+    for workload in workloads:
+        before, after = ([run["metrics"]["wall_s"]["value"]
+                          for run in side["workloads"][workload]["runs"]]
+                         for side in (parent, change))
+        summary[workload] = {"parent_quartiles": _quartiles(before),
+                             "change_quartiles": _quartiles(after),
+                             "change_won": sum(a < b for a, b in zip(after, before)),
+                             "seeds": len(before)}
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -113,14 +137,17 @@ def main(argv=None) -> int:
         "change": fold(args.change, WORKLOADS, args.seeds),
         "reports_differ": reports_differ(args.parent, args.change, WORKLOADS, args.seeds),
     }
+    folded["wall_s"] = wall_s(folded["parent"], folded["change"], WORKLOADS)
     with open(args.out, "w", encoding="ascii") as handle:
         json.dump(folded, handle, indent=1)
         handle.write("\n")
     for workload in WORKLOADS:
-        before = folded["parent"]["workloads"][workload]["median"]["wall_s"]
-        after = folded["change"]["workloads"][workload]["median"]["wall_s"]
+        wall = folded["wall_s"][workload]
+        before, after = ("/".join(f"{q:.3f}" for q in wall[side])
+                         for side in ("parent_quartiles", "change_quartiles"))
         differ = folded["reports_differ"][workload]
-        print(f"{workload}: wall_s median {before:.3f} -> {after:.3f}, "
+        print(f"{workload}: wall_s quartiles {before} -> {after}, change won "
+              f"{wall['change_won']} of {wall['seeds']} seeds, "
               f"reports differ: {differ or 'none'}", file=sys.stderr)
     return 0
 

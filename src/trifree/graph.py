@@ -120,20 +120,28 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the offending pair.
+    orientation), naming the first listed; the edges are scanned again only
+    when the rows hold fewer than two bits per edge.
     """
     check_order(n)
     rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            break
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if sum(row.bit_count() for row in rows) == 2 * len(edges):  # never after a break
+        return Graph(n, rows)
+    seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ConstructionError(f"edge ({u}, {v}) is a loop")
-        if rows[u] >> v & 1:
-            raise ConstructionError(f"duplicate edge ({u}, {v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows)
+        if (u, v) in seen:
+            break
+        seen |= {(u, v), (v, u)}
+    raise ConstructionError(f"duplicate edge ({u}, {v})")
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -185,21 +193,21 @@ def _mask_of(cell: Sequence[int]) -> int:
     return mask
 
 
-def _independent_masks(g: Graph) -> Iterator[int]:
-    """Every independent set of g as a bitmask, the empty set included.
+def _independent_masks(g: Graph, most: int = MAX_VERTICES) -> Iterator[int]:
+    """Every independent set of g on at most `most` vertices as a bitmask.
 
-    An explicit-stack DFS decides each vertex in turn, so only independent
-    sets are ever built.
+    An explicit-stack DFS decides each vertex in turn, so only these sets,
+    the empty one included, are ever built.
     """
-    stack = [(0, 0)]
+    stack = [(0, 0, most)]
     while stack:
-        v, mask = stack.pop()
+        v, mask, room = stack.pop()
         if v == g.n:
             yield mask
             continue
-        stack.append((v + 1, mask))
-        if not g.adj[v] & mask:
-            stack.append((v + 1, mask | 1 << v))
+        stack.append((v + 1, mask, room))
+        if room and not g.adj[v] & mask:
+            stack.append((v + 1, mask | 1 << v, room - 1))
 
 
 def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:

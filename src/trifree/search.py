@@ -2,38 +2,41 @@
 
 Enumeration proceeds level by level by canonical augmentation (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
-candidate g + x joins x to an independent mask of g in level t.  Masks are
-tried once per Aut(g)-orbit and only when x has least degree, and h = g + x
-is kept iff x lies in the Aut(h)-orbit of its canonical vertex, the
-least-degree twin class first in canonical quotient order.  Complete:
-deleting the canonical vertex v of a triangle-free h on t+1 vertices leaves
-some g of level t, and the tried mask in the orbit of the image of N(v)
-gives g + x isomorphic to h with x onto v.  Isomorph-free: an isomorphism
-between two kept candidates may be taken to map x to x, so it restricts to
-an automorphism of their common g carrying one mask onto the other, and
-only one mask per orbit is tried.  The candidate's one canonical search
-gives the test, the canonical form and the automorphism generators kept
-for the next level.
+candidate g + x joins x to an independent mask of g in level t, tried once
+per Aut(g)-orbit and only when x has least degree, so on at most
+delta(g)+1 vertices.  h = g + x is kept iff x lies in the Aut(h)-orbit of
+its canonical vertex: the twin class least by degree, then sorted
+neighbour degrees, then canonical quotient order.  This key is invariant,
+so an x that another vertex's key beats is dropped before the search.
+Complete: deleting the canonical vertex v of a triangle-free h on t+1
+vertices leaves some g of level t, and the tried mask in the orbit of the
+image of N(v) gives g + x isomorphic to h with x onto v.  Isomorph-free:
+an isomorphism between two kept candidates may be taken to map x to x, so
+it restricts to an automorphism of their common g carrying one mask onto
+the other, and one mask per orbit is tried.  The one canonical search
+gives the test, the canonical form and the Aut generators kept.
 
 The maximal graphs on n vertices attach x to a g of level n-1 only along
-saturating masks: maximal independent sets that hold both ends of every
-deficient pair (non-adjacent, no common neighbour).  Independent keeps g + x
+saturating masks: maximal independent sets holding every deficient end (a
+vertex whose closed 2-ball misses one).  Independent keeps g + x
 triangle-free; dominating, with x filling every deficient pair, makes it
 maximal.  Complete: for any vertex v of a maximal G, N(v) is independent,
 dominates G - v and holds every pair whose only common neighbour is v; so
 the canonical vertex qualifies, and these masks are closed under Aut(g).
-The parents g are built from level n-2 by the same augmentation, keeping a
-candidate h, before its canonical search, only if a saturating mask of h
-passes the least-degree test.  That is the step's own test on each parent,
-so no dropped h gives a candidate; it is isomorphism-invariant, so whole
-classes drop; and the canonical parent G - v of every maximal G passes, as
-N(v) is saturating and v has least degree.
+Full levels stop at n-3.  Invariant cuts before each search above them
+keep every canonical G - v, and its canonical deletion:
+- a parent needs a saturating mask passing the degree test (N(v) does),
+  so independent deficient ends, which g's 2-balls decide for each mask;
+- a grandparent Q needs its deficient ends bipartite, smaller sides
+  totalling at most delta(Q)+1.  Q = P - y passes: a deficient pair of Q
+  is one of P, with independent ends, or lies in the independent N(y);
+  one side fits in N(y), of size delta(P) <= delta(Q)+1 as y is canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .families import AndrasfaiId, VegaId, _extremal, andrasfai, mycielski_grotzsch, vega
 from .graph import (
@@ -111,11 +114,15 @@ def _least_degree_test(g: Graph) -> Callable[[int], bool]:
     return lambda mask: mask.bit_count() <= low + (not at_low & ~mask)
 
 
+def _small_masks(g: Graph) -> Iterator[int]:  # the sizes the degree test can pass
+    return _independent_masks(g, min(row.bit_count() for row in g.adj) + 1)
+
+
 def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]],
-            then: Optional[Callable[[Graph], Iterable[int]]] = None) -> Level:
+            keep: Optional[Callable[[Graph], bool]] = None) -> Level:
     """Each g + x with x joined to a mask of masks_of(g), closed under Aut(g),
-    and, with ``then``, with a mask of then(g + x) passing the degree test: one
-    per class by canonical augmentation, canonical, sorted, with Aut generators."""
+    and, with ``keep``, where keep(g + x) holds: one per class by canonical
+    augmentation, canonical, sorted, with Aut generators."""
     out = []
     for g, gens in level:
         x = 1 << g.n
@@ -124,15 +131,19 @@ def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]],
         for mask in masks_of(g):
             if mask in done or not fits(mask):
                 continue
+            rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)] + [mask]
+            degree = [row.bit_count() for row in rows]
+            key = {v: sorted(degree[u] for u in _bits(row))
+                   for v, row in enumerate(rows) if degree[v] == degree[-1]}
+            if min(key.values()) < key[g.n]:
+                continue  # x is not canonical, nor in any orbit-mate of the mask
             done |= _closure((mask,), lambda m: [sum(1 << a[v] for v in _bits(m)) for a in gens])
-            rows = [row | x if mask >> v & 1 else row for v, row in enumerate(g.adj)]
-            h = Graph(g.n + 1, rows + [mask])
-            if then is not None and not any(map(_least_degree_test(h), then(h))):
-                continue  # before the search: the test is isomorphism-invariant
+            h = Graph(g.n + 1, rows)
+            if keep is not None and not keep(h):
+                continue  # before the search: keep is isomorphism-invariant
             p, qpos, autos, _ = canonical_labeling(h)
-            # the canonical vertex: least degree, then first in canonical order
-            degree = [h.adj[cls[0]].bit_count() for cls in p.classes]
-            first = min(range(len(degree)), key=lambda i: (degree[i], qpos[i]))
+            # the canonical vertex: least degree and key, then first in canonical order
+            first = min((key[c[0]], qpos[i], i) for i, c in enumerate(p.classes) if c[0] in key)[2]
             mine = next(i for i, cls in enumerate(p.classes) if cls[-1] == g.n)
             if mine not in _orbit((first,), autos):
                 continue
@@ -146,21 +157,74 @@ def _attach(level: Level, masks_of: Callable[[Graph], Iterable[int]],
 
 def _tf_graphs(n: int) -> list[Graph]:
     while len(_tf_levels) <= n:
-        _tf_levels.append(_attach(_tf_levels[-1], _independent_masks))
+        _tf_levels.append(_attach(_tf_levels[-1], _small_masks))
     return [g for g, _ in _tf_levels[n]]
+
+
+def _two_balls(g: Graph) -> tuple[list[int], int]:
+    """Each vertex's closed 2-ball, and the deficient ends, whose ball misses one."""
+    balls = [row | 1 << v for v, row in enumerate(g.adj)]
+    for row in g.adj:
+        for u in _bits(row):
+            balls[u] |= row
+    return balls, sum(1 << v for v, ball in enumerate(balls) if ball.bit_count() < g.n)
 
 
 def _saturating_masks(g: Graph) -> list[int]:
     """The maximal independent sets of g that hold every deficient pair; none,
     at once, when the ends of those pairs are not independent."""
-    deficient = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.adj[u] >> v & 1 and not g.adj[u] & g.adj[v]:
-                deficient |= 1 << u | 1 << v
-    if any(g.adj[v] & deficient for v in _bits(deficient)):
+    _, ends = _two_balls(g)
+    if any(g.adj[v] & ends for v in _bits(ends)):
         return []
-    return [m for m in _maximal_independent_sets(g) if m & deficient == deficient]
+    return [m for m in _maximal_independent_sets(g) if m & ends == ends]
+
+
+def _is_parent(h: Graph) -> bool:
+    """Whether a saturating mask of h passes the degree test."""
+    return any(map(_least_degree_test(h), _saturating_masks(h)))
+
+
+def _parent_masks(g: Graph) -> Iterator[int]:
+    """The masks passing the degree test where g + x has independent deficient
+    ends; a vertex seeing none of the mask is an end with x as its partner."""
+    full = (1 << g.n) - 1
+    balls, ends_g = _two_balls(g)
+    for m in filter(_least_degree_test(g), _small_masks(g)):
+        near, ends = m, ends_g & ~m
+        for u in _bits(m):
+            near |= g.adj[u]
+            ends |= (balls[u] | m != full) << u
+        ends |= full & ~near  # partners of x, so x is an end too if there is one
+        if not (near != full and m & ends or any(g.adj[u] & ends for u in _bits(ends))):
+            yield m
+
+
+def _is_grandparent(g: Graph) -> bool:
+    """Whether g's deficient ends are bipartite, smaller sides totalling <= delta(g)+1."""
+    _, ends = _two_balls(g)
+    total, rest = 0, ends
+    while rest:
+        this, other, frontier = 0, 0, rest & -rest
+        while frontier:  # colour one component, a distance class at a time
+            this |= frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= g.adj[v] & ends
+            if reach & this:
+                return False  # an odd cycle
+            this, other, frontier = other, this, reach & ~other
+        total += min(this.bit_count(), other.bit_count())
+        rest &= ~(this | other)
+    return total <= min(row.bit_count() for row in g.adj) + 1
+
+
+def _parents(n: int) -> Level:
+    """Level n-1 filtered by `_is_parent`, built through the cut level n-2."""
+    level = _tf_levels[1]
+    if n > 3:
+        _tf_graphs(n - 3)
+        level = _attach(_tf_levels[n - 3], _small_masks, _is_grandparent)
+    return _attach(level, _parent_masks, _is_parent) if n > 2 else level
 
 
 def _guard(n: int, allow_large: bool) -> None:
@@ -179,9 +243,7 @@ def enumerate_maximal_tf(n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs on n vertices, one per isomorphism
     class, in canonical form, sorted by canonical adjacency."""
     _guard(n, allow_large)
-    _tf_graphs(n - 2)  # the full levels below; of level n-1, only the parents
-    parents = _attach(_tf_levels[n - 2], _independent_masks, _saturating_masks)
-    return [g for g, _ in _attach(parents if n > 2 else _tf_levels[1], _saturating_masks)]
+    return [g for g, _ in _attach(_parents(n), _saturating_masks)]
 
 
 _C6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])

@@ -52,6 +52,33 @@ def test_fold_keeps_metrics_and_medians(tmp_path):
     assert [run["metrics"]["wall_s"]["value"] for run in covering["runs"]] == [0.3, 0.2, 0.4]
     assert folded["parent"]["workloads"]["covering"]["median"]["wall_s"] == 14.0
     assert folded["reports_differ"] == {workload: [] for workload in script.WORKLOADS}
+    assert folded["wall_s"]["census"] == {"parent_quartiles": [13.5, 14.0, 14.5],
+                                          "change_quartiles": [0.25, 0.3, 0.35],
+                                          "change_won": 3, "seeds": 3}
+
+
+def test_wall_s_counts_the_seeds_the_change_won(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    script = _script()
+    # the change wins seeds 1 and 4, ties seed 2 and loses seed 3
+    pairs = {1: (1.0, 0.5), 2: (2.0, 2.0), 3: (3.0, 3.5), 4: (4.0, 1.0)}
+    for workload in script.WORKLOADS:
+        for seed, (before, after) in pairs.items():
+            _write_record(parent, workload, seed, before, "aaa")
+            _write_record(change, workload, seed, after, "bbb")
+    out = tmp_path / "BENCH.json"
+    assert script.main(["--parent", str(parent), "--change", str(change),
+                        "--seeds", "1", "2", "3", "4", "--out", str(out)]) == 0
+    wall = json.loads(out.read_text())["wall_s"]["paper"]
+    assert wall == {"parent_quartiles": [1.75, 2.5, 3.25],
+                    "change_quartiles": [0.875, 1.5, 2.375],
+                    "change_won": 2, "seeds": 4}
+    assert ("paper: wall_s quartiles 1.750/2.500/3.250 -> 0.875/1.500/2.375, "
+            "change won 2 of 4 seeds, reports differ: none") in capsys.readouterr().err
+    one = script.fold(str(parent), ["census"], [3])
+    assert script.wall_s(one, one, ["census"])["census"] == {
+        "parent_quartiles": [3.0, 3.0, 3.0], "change_quartiles": [3.0, 3.0, 3.0],
+        "change_won": 0, "seeds": 1}
 
 
 def test_reports_differ_names_the_changed_operations(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -162,13 +163,24 @@ def test_census_reports_are_byte_identical():
     assert all(row["d4"] == (row["recognized"] is not None) for row in report["rows"])
 
 
-@pytest.mark.slow
 def test_census_n12_asserts_every_row():
     done = run_cli(["census", "--n", "12", "--allow-large", "--assert"])
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     # OEIS A216783: 147 maximal triangle-free graphs on 12 vertices
     assert report["count"] == len(report["rows"]) == 147
+    # the report of the level-by-level enumeration, before any pruning
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "df56f4e4f03dc7a6ecead8d7b9825b570a7e6403c0a6676378eb2cf536ae7fec")
+
+
+@pytest.mark.slow
+def test_census_n13_asserts_every_row():
+    done = run_cli(["census", "--n", "13", "--allow-large", "--assert"])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    # OEIS A216783: 392 maximal triangle-free graphs on 13 vertices
+    assert report["count"] == len(report["rows"]) == 392
 
 
 def test_hunt_exits_clean_when_no_counterexamples():

@@ -73,6 +73,18 @@ def test_construction_rejects_bad_edges():
         from_edge_list(3, [(-1, 0), (0, 1), (0, 1)])
 
 
+def test_construction_names_a_reversed_duplicate_on_a_large_order():
+    edges = [(v, v + 1) for v in range(999)]
+    assert from_edge_list(1000, edges).edge_count == 999
+    with pytest.raises(ConstructionError, match=r"^duplicate edge \(999, 998\)$"):
+        from_edge_list(1000, edges + [(999, 998)])
+    # the first pair listed is named, though a loop and a bad endpoint follow
+    with pytest.raises(ConstructionError, match=r"^duplicate edge \(501, 500\)$"):
+        from_edge_list(1000, edges[:600] + [(501, 500), (7, 7), (0, 1000)] + edges[600:])
+    with pytest.raises(ConstructionError, match=r"^edge \(7, 7\) is a loop$"):
+        from_edge_list(1000, edges[:600] + [(7, 7), (501, 500)] + edges[600:])
+
+
 def test_relabel_and_induced_subgraph():
     g = path(4)
     h = relabel(g, (3, 2, 1, 0))

@@ -34,9 +34,14 @@ from trifree.search import (
     CensusRow,
     ResourceGuardError,
     _attach,
+    _is_grandparent,
+    _is_parent,
     _least_degree_test,
     _maximal_independent_sets,
+    _parent_masks,
+    _parents,
     _saturating_masks,
+    _small_masks,
     _tf_graphs,
     census,
     census_row,
@@ -126,12 +131,43 @@ def test_stored_generators_generate_the_automorphism_group():
             assert group_order_oracle(n, gens) == automorphism_order(g)
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+def _deficient_ends_are_independent(g: Graph) -> bool:
+    ends = 0
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.has_edge(u, v) and not g.adj[u] & g.adj[v]:
+            ends |= 1 << u | 1 << v
+    return not any(g.adj[u] & ends for u in range(g.n) if ends >> u & 1)
+
+
+def test_parent_masks_match_the_built_graph():
+    # read off g's 2-balls, a mask passes iff g + x has independent
+    # deficient ends, on every mask that passes the degree test
+    fitting = 0
+    for t in range(1, 9):
+        for g in _tf_graphs(t):
+            passing = set(_parent_masks(g))
+            for mask in filter(_least_degree_test(g), _independent_masks(g)):
+                x = 1 << g.n
+                h = Graph(g.n + 1, [row | x if mask >> v & 1 else row
+                                    for v, row in enumerate(g.adj)] + [mask])
+                assert (mask in passing) == _deficient_ends_are_independent(h)
+                fitting += 1
+    assert fitting == 6214
+
+
+def test_small_masks_are_the_independent_sets_within_the_cap():
+    for g in _tf_graphs(6):
+        cap = min(map(g.degree, range(g.n))) + 1
+        assert list(_small_masks(g)) == [
+            m for m in _independent_masks(g) if m.bit_count() <= cap]
+
+
+@pytest.mark.parametrize("n", range(3, 12))
 def test_pruned_parents_are_the_filtered_level(n):
-    # the parents of the maximal step are exactly the graphs of level n-1
-    # that a maximal graph can hang on, in the same order
-    _tf_graphs(n - 1)
-    parents = _attach(search_module._tf_levels[n - 2], _independent_masks, _saturating_masks)
+    # the parents of the maximal step, built through the grandparent cut,
+    # are exactly the graphs of level n-1 that a maximal graph can hang
+    # on, in the same order
+    parents = _parents(n)
     assert [g for g, _ in parents] == [
         g for g in _tf_graphs(n - 1)
         if any(map(_least_degree_test(g), _saturating_masks(g)))]
@@ -154,35 +190,55 @@ def _count_searches(monkeypatch) -> list[int]:
 
 
 def test_canonical_searches_per_level_are_pinned(monkeypatch):
-    # one search per candidate that survives orbit pruning and the degree
-    # filter: level 9 keeps 1897 of 3062 (24,149 masks before pruning)
+    # one search per candidate that survives the size cap, orbit pruning,
+    # the degree test and the neighbour-degree tie-break: level 9 keeps
+    # 1897 of 2088 (the capped DFS yields 10,335 of level 8's 24,149
+    # independent sets, and 4,930 pass the degree test)
     _tf_graphs(8)
+    level8 = search_module._tf_levels[8]
+    assert sum(1 for g, _ in level8 for _ in _independent_masks(g)) == 24149
+    assert sum(1 for g, _ in level8 for _ in _small_masks(g)) == 10335
+    assert sum(1 for g, _ in level8
+               for _ in filter(_least_degree_test(g), _small_masks(g))) == 4930
     monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:9])
     calls = _count_searches(monkeypatch)
     assert len(_tf_graphs(9)) == 1897
-    assert 1897 <= calls[0] <= 3100
-    # the maximal step builds its 35 parents from level 8 in 50 searches,
-    # then 31 maximal graphs in 47
+    assert calls[0] == 2088
+    # from the full level 7, the grandparent cut keeps 164 of level 8's 410
+    # graphs in 173 searches; they give the 35 parents in 35 searches, and
+    # these the 31 maximal graphs in 32
     calls[0] = 0
-    parents = _attach(search_module._tf_levels[8], _independent_masks, _saturating_masks)
-    assert (len(parents), calls[0]) == (35, 50)
+    grandparents = _attach(search_module._tf_levels[7], _small_masks, _is_grandparent)
+    assert (len(grandparents), calls[0]) == (164, 173)
     calls[0] = 0
-    assert (len(_attach(parents, _saturating_masks)), calls[0]) == (GOLDEN_COUNTS[10], 47)
+    parents = _attach(grandparents, _parent_masks, _is_parent)
+    assert (len(parents), calls[0]) == (35, 35)
+    calls[0] = 0
+    assert (len(_attach(parents, _saturating_masks)), calls[0]) == (GOLDEN_COUNTS[10], 32)
     calls[0] = 0
     assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
-    assert calls[0] == 97
+    assert calls[0] == 240
+
+
+def test_census_searches_are_pinned(monkeypatch):
+    # orders 2..10 from the seed level, as one census run makes them
+    monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:2])
+    calls = _count_searches(monkeypatch)
+    for n in range(2, 11):
+        enumerate_maximal_tf(n)
+    assert calls[0] == 607
 
 
 def test_maximal_step_never_builds_the_full_level(monkeypatch):
-    _tf_graphs(9)
-    parents = len(search_module._tf_levels[9])
-    monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:10])
+    _tf_graphs(8)
+    grandparents = len(search_module._tf_levels[8])
+    monkeypatch.setattr(search_module, "_tf_levels", search_module._tf_levels[:8])
     calls = _count_searches(monkeypatch)
     assert len(enumerate_maximal_tf(10)) == GOLDEN_COUNTS[10]
-    # built from level 8, with fewer searches than level 9 has graphs
-    assert parents == 1897
-    assert 0 < calls[0] < parents
-    assert len(search_module._tf_levels) == 10
+    # built from level 7, with fewer searches than level 8 has graphs
+    assert grandparents == 410
+    assert 0 < calls[0] < grandparents
+    assert len(search_module._tf_levels) == 8
 
 
 def test_maximal_independent_sets_of_a_large_star():

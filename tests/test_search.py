@@ -140,8 +140,8 @@ def _deficient_ends_are_independent(g: Graph) -> bool:
 
 
 def test_parent_masks_match_the_built_graph():
-    # read off g's 2-balls, a mask passes iff g + x has independent
-    # deficient ends, on every mask that passes the degree test
+    # decided from g's 2-balls, a mask passes iff the built g + x has
+    # independent deficient ends; checked on every mask fitting the degree
     fitting = 0
     for t in range(1, 9):
         for g in _tf_graphs(t):

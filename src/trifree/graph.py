@@ -120,28 +120,20 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the first listed; the edges are scanned again only
-    when the rows hold fewer than two bits per edge.
+    orientation), naming the offending pair.
     """
     check_order(n)
     rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            break
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    if sum(row.bit_count() for row in rows) == 2 * len(edges):  # never after a break
-        return Graph(n, rows)
-    seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ConstructionError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ConstructionError(f"edge ({u}, {v}) is a loop")
-        if (u, v) in seen:
-            break
-        seen |= {(u, v), (v, u)}
-    raise ConstructionError(f"duplicate edge ({u}, {v})")
+        if rows[u] >> v & 1:
+            raise ConstructionError(f"duplicate edge ({u}, {v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

@@ -171,11 +171,8 @@ def _two_balls(g: Graph) -> tuple[list[int], int]:
 
 
 def _saturating_masks(g: Graph) -> list[int]:
-    """The maximal independent sets of g that hold every deficient pair; none,
-    at once, when the ends of those pairs are not independent."""
+    """The maximal independent sets of g that hold every deficient pair."""
     _, ends = _two_balls(g)
-    if any(g.adj[v] & ends for v in _bits(ends)):
-        return []
     return [m for m in _maximal_independent_sets(g) if m & ends == ends]
 
 

@@ -166,11 +166,12 @@ def test_small_masks_are_the_independent_sets_within_the_cap():
 def test_pruned_parents_are_the_filtered_level(n):
     # the parents of the maximal step, built through the grandparent cut,
     # are exactly the graphs of level n-1 that a maximal graph can hang
-    # on, in the same order
+    # on, in the same order; the reference skips a graph whose deficient ends
+    # are adjacent, as no maximal independent set can hold them all
     parents = _parents(n)
     assert [g for g, _ in parents] == [
-        g for g in _tf_graphs(n - 1)
-        if any(map(_least_degree_test(g), _saturating_masks(g)))]
+        g for g in _tf_graphs(n - 1) if _deficient_ends_are_independent(g)
+        and any(map(_least_degree_test(g), _saturating_masks(g)))]
     if n <= 8:
         for g, gens in parents:
             assert all(relabel(g, a) == g for a in gens)

@@ -9,7 +9,10 @@ Each checkout must hold the untraced records that
 ``.perfbench/results/W-seedS-trace0.json``.  For each side the output keeps
 the commit, Python version and nproc of its runs, and for each workload the
 ``result.metrics`` and failure counts of every seed with the median of each
-metric over the seeds.  When the traced record of the first seed
+metric over the seeds.  ``op_wall_s`` gives each operation's median wall
+time over the seeds, each seed counting as the median of its repetitions
+(``repetitions[].op_wall_s``), so the file shows which operations moved.
+When the traced record of the first seed
 (``W-seedS-trace1.json``, from ``--trace 1``) is there too, its ``.calls``
 counters sit next to the medians under ``calls``.  ``reports_differ`` lists,
 per workload, the operations whose report sha256 (``repetitions[].sha256`` of
@@ -60,14 +63,20 @@ def fold(checkout: str, workloads, seeds) -> dict:
     side: dict = {key: None for key in SAME_FOR_EVERY_RUN}
     side["workloads"] = {}
     for workload in workloads:
-        runs = []
+        runs, op_walls = [], []
         for seed in seeds:
-            result = _record(checkout, workload, seed, side)["result"]
+            record = _record(checkout, workload, seed, side)
+            result, reps = record["result"], record["repetitions"]
             runs.append({"seed": seed, "attempted": result["attempted"],
                          "failed": result["failed"], "metrics": result["metrics"]})
+            op_walls.append({op: statistics.median(rep["op_wall_s"][op] for rep in reps)
+                             for op in reps[0]["op_wall_s"]})
         median = {name: statistics.median(run["metrics"][name]["value"] for run in runs)
                   for name in runs[0]["metrics"]}
-        side["workloads"][workload] = {"median": median, "runs": runs}
+        side["workloads"][workload] = {
+            "median": median, "runs": runs,
+            "op_wall_s": {op: statistics.median(walls[op] for walls in op_walls)
+                          for op in op_walls[0]}}
         if os.path.exists(_path(checkout, workload, seeds[0], 1)):
             metrics = _record(checkout, workload, seeds[0], side, trace=1)["result"]["metrics"]
             side["workloads"][workload]["calls"] = {

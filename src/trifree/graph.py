@@ -141,15 +141,20 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
     The one check that `perm` is a bijection on 0..n-1: `isomorphic` and
     `families.named_map` rely on it, since equal rows alone do not rule out
-    two isolated vertices sent to one.
+    two isolated vertices sent to one.  Each distinct row is mapped once:
+    twins share their row, and so does its image.
     """
     if sorted(perm) != list(range(g.n)):
         raise ContractViolation("permutation is not a bijection on the graph's vertices")
     rows = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in _bits(g.adj[v]):
-            row |= 1 << perm[u]
+    image: dict[int, int] = {}
+    for v, old in enumerate(g.adj):
+        row = image.get(old)
+        if row is None:
+            row = 0
+            for u in _bits(old):
+                row |= 1 << perm[u]
+            image[old] = row
         rows[perm[v]] = row
     return Graph(g.n, rows)
 

@@ -20,7 +20,9 @@ the plain property), and is tried first.  When n >= 3 * (largest bounded
 degree), w = 1/that degree reaches 3, so no dual exists and the simplex is
 skipped.  Refutations come from the DFS, which drops a subtree (never a
 leaf) once the room left in neighbourhoods covering its vertices, plus the
-caps of its isolated vertices, is below the weight still to place.
+caps of its isolated vertices, is below the weight still to place.  It jumps
+over each vertex next to a full neighbourhood (room 0): that node has one
+child, weight 0, so the leaves and their order do not change.
 
 Maximum-weight independent sets take isolated vertices, and pendant
 vertices at least as heavy as their neighbour (a set holding the neighbour
@@ -76,7 +78,20 @@ def is_triangle_free(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
 
 
 def is_maximal_triangle_free(g: Graph) -> MaximalityResult:
-    """Triangle-free and every non-adjacent pair has a common neighbour."""
+    """Triangle-free and every non-adjacent pair has a common neighbour; a
+    failure names the least triangle, else the least pair without one.  The
+    twin quotient decides it where that is exact (see `_maximality`)."""
+    return _maximality(g, quotient(g)[1])
+
+
+def _maximality(g: Graph, q: Graph) -> MaximalityResult:
+    """`is_maximal_triangle_free(g)` given q, the twin quotient of g.  A proper
+    q without isolated vertices that is maximal triangle-free makes g so: a
+    triangle or open pair of g across classes is one of q, and twins are
+    non-adjacent with a common neighbour, as their row is non-empty.  Every
+    other case scans g by pairs, so a failure keeps g's own least witness."""
+    if q is not g and all(q.adj) and _maximality(q, q).holds:
+        return MaximalityResult(True, None, None)
     free, tri = is_triangle_free(g)
     if not free:
         return MaximalityResult(False, tri, None)
@@ -202,6 +217,9 @@ def _coverage_search(
     a neighbour y carries at most m: more would break y's bound in the plain
     property and fail the certificate at y in the variant.  Vertices without
     neighbours carry the full total unless ``isolated_cap`` lowers that.
+    Each node gets the bitmask of order positions still open and visits the
+    lowest: y's neighbours close once room[y] is 0, as each could only carry
+    0 there, so the leaves and their order are those of the unskipped walk.
     """
     n, adj = g.n, g.adj
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -209,6 +227,9 @@ def _coverage_search(
     free = target if isolated_cap is None else min(isolated_cap, target)
     caps = [m if adj[v] else free for v in range(n)]
     nbrs = [tuple(_bits(adj[v])) for v in range(n)]
+    position = {v: i for i, v in enumerate(order)}
+    # near[y]: the order positions of y's neighbours, blocked once room[y] is 0
+    near = [sum(1 << position[v] for v in nbrs[y]) for y in range(n)]
     room = list(bounds)  # remaining coverage budget per vertex
     weights = [0] * n
     # cover[i]: neighbourhoods holding every non-isolated vertex of order[i:],
@@ -231,11 +252,12 @@ def _coverage_search(
             reach |= adj[chosen[-1]]
         cover[i] = tuple(chosen)
 
-    def dfs(idx: int, placed: int) -> bool:
+    def dfs(open_: int, placed: int) -> bool:
         if placed == target:
             return leaf_ok(weights)
-        if idx == n:
+        if not open_:
             return False
+        idx = (open_ & -open_).bit_length() - 1
         need = target - placed
         if loose[idx] + sum(map(room.__getitem__, cover[idx])) < need:
             return False
@@ -248,19 +270,22 @@ def _coverage_search(
                 top = r
         if top > need:
             top = need
+        rest = open_ & (open_ - 1)
         for val in range(top + 1):
             if val:
                 weights[u] = val
                 for y in un:
                     room[y] -= 1
-            if dfs(idx + 1, placed + val):
+                    if not room[y]:
+                        rest &= ~near[y]
+            if dfs(rest, placed + val):
                 return True
         for y in un:
             room[y] += top
         weights[u] = 0
         return False
 
-    return tuple(weights) if dfs(0, 0) else None
+    return tuple(weights) if dfs((1 << n) - 1, 0) else None
 
 
 def _certificate_free(g: Graph, m: int, weights) -> bool:

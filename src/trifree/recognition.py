@@ -32,8 +32,8 @@ from .graph import (
     quotient,
 )
 from .properties import (
+    _maximality,
     check_d,
-    is_maximal_triangle_free,
 )
 
 NOT_MAXIMAL_TF = "not_maximal_triangle_free"
@@ -111,20 +111,21 @@ def match_template(
 def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
     """Certificate that g is a template blow-up, or an explicit refutation.
 
-    Inputs that are not maximal triangle-free are refuted directly; the
+    Inputs that are not maximal triangle-free are refuted directly, with
+    maximality decided on the twin quotient taken for the match; the
     remaining refutations carry the level-4 covering witness of `check_d`,
     which re-validates it on g.
     """
     if g.n < 2:
         raise ValueError("recognition needs at least two vertices")
-    maximality = is_maximal_triangle_free(g)
+    partition, omega = quotient(g)
+    maximality = _maximality(g, omega)
     if not maximality.holds:
         return Refutation(
             NOT_MAXIMAL_TF,
             triangle=maximality.triangle,
             missing_pair=maximality.missing_pair,
         )
-    partition, omega = quotient(g)
     certificate = match_template(partition, omega)
     if certificate is not None:
         return certificate

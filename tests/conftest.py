@@ -24,7 +24,12 @@ from trifree.graph import (
     h_twins,
     quotient,
 )
-from trifree.properties import _certificate_free, validate_q_witness
+from trifree.properties import (
+    MaximalityResult,
+    _certificate_free,
+    is_triangle_free,
+    validate_q_witness,
+)
 from trifree.search import _maximal_independent_sets
 
 
@@ -347,6 +352,35 @@ def induced_oracle(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
         if all(host.has_edge(images[u], images[v]) == pattern.has_edge(u, v) for u, v in pairs)
     ]
     return sorted(maps, key=lambda images: [images[p] for p in order])
+
+
+def maximality_oracle(g: Graph) -> MaximalityResult:
+    """Maximality by the pair scan on g itself: the least triangle, else the
+    least non-adjacent pair without a common neighbour.
+
+    The reference for `properties.is_maximal_triangle_free`, which decides
+    a proper twin quotient without isolated vertices first.
+    """
+    free, tri = is_triangle_free(g)
+    if not free:
+        return MaximalityResult(False, tri, None)
+    for u in range(g.n):
+        for v in _bits(~g.adj[u] >> (u + 1) << (u + 1) & (1 << g.n) - 1):
+            if not g.adj[u] & g.adj[v]:
+                return MaximalityResult(False, None, (u, v))
+    return MaximalityResult(True, None, None)
+
+
+def relabel_oracle(g: Graph, perm) -> Graph:
+    """g with vertex v renamed to perm[v], one vertex at a time.
+
+    The reference for `graph.relabel`, which maps each distinct row once.
+    """
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in _bits(g.adj[v]):
+            rows[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, rows)
 
 
 def brute_force_maximal_tf(g: Graph) -> bool:

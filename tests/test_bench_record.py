@@ -22,7 +22,10 @@ def _script():
 
 
 def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit: str,
-                  smoke: bool = False, trace: int = 0, metrics=None, digests=None) -> None:
+                  smoke: bool = False, trace: int = 0, metrics=None, digests=None,
+                  op_walls=None) -> None:
+    digests = digests or [{"op": "same"}]
+    op_walls = op_walls or [dict.fromkeys(reps, wall) for reps in digests]
     results = checkout / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {
@@ -30,7 +33,8 @@ def _write_record(checkout: Path, workload: str, seed: int, wall: float, commit:
                         "workload": workload, "seed": seed, "smoke": smoke},
         "result": {"correct": True, "attempted": 4, "failed": 0,
                    "metrics": metrics or {"wall_s": {"value": wall, "unit": "s"}}},
-        "repetitions": [{"sha256": reps} for reps in digests or [{"op": "same"}]],
+        "repetitions": [{"sha256": reps, "op_wall_s": walls}
+                        for reps, walls in zip(digests, op_walls)],
     }
     (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
@@ -129,3 +133,19 @@ def test_fold_adds_the_traced_calls_of_the_first_seed(tmp_path):
     _write_record(tmp_path, "recognize", 1, 0.0, "bbb", trace=1, metrics=traced)
     with pytest.raises(SystemExit, match="commit"):
         script.fold(str(tmp_path), ["recognize"], [1, 2])
+
+
+def test_fold_gives_the_median_wall_time_of_each_operation(tmp_path):
+    script = _script()
+    digests = [{"a": "1", "b": "2"}] * 3
+    # seed 1: medians a 0.3, b 2.0; seed 2: a 0.1, b 4.0; seed 3: a 0.2, b 1.0
+    walls = {1: [{"a": 0.3, "b": 1.0}, {"a": 0.5, "b": 2.0}, {"a": 0.1, "b": 3.0}],
+             2: [{"a": 0.1, "b": 4.0}] * 3,
+             3: [{"a": 0.2, "b": 1.0}, {"a": 0.2, "b": 9.0}, {"a": 0.9, "b": 0.5}]}
+    for seed, op_walls in walls.items():
+        _write_record(tmp_path, "recognize", seed, 1.0, "aaa", digests=digests,
+                      op_walls=op_walls)
+    side = script.fold(str(tmp_path), ["recognize"], [1, 2, 3])
+    assert side["workloads"]["recognize"]["op_wall_s"] == {"a": 0.2, "b": 2.0}
+    one = script.fold(str(tmp_path), ["recognize"], [2])
+    assert one["workloads"]["recognize"]["op_wall_s"] == {"a": 0.1, "b": 4.0}

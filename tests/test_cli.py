@@ -15,7 +15,7 @@ from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
 
 from trifree import __version__, cli
 from trifree.cli import main
-from trifree.families import andrasfai, fig41
+from trifree.families import andrasfai, cayley_6k, fig41
 from trifree.formats import (
     FormatError,
     parse_elist,
@@ -181,6 +181,17 @@ def test_census_n13_asserts_every_row():
     report = json.loads(done.stdout)
     # OEIS A216783: 392 maximal triangle-free graphs on 13 vertices
     assert report["count"] == len(report["rows"]) == 392
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flag", ["--d", "--q"])
+def test_cayley_6k_20_fails_level_two(tmp_path, flag):
+    source, out = tmp_path / "cayley20.txt", tmp_path / "report.json"
+    source.write_text(write_elist(cayley_6k(20)))
+    assert main(["check", flag, "4", "--in", str(source), "--out", str(out)]) == 1
+    verdict = json.loads(out.read_text())["verdict"]
+    assert not verdict["holds"] and verdict["level"] == 2
+    assert verdict["witness"] == [int(v % 20 == 19) for v in range(120)]
 
 
 def test_hunt_exits_clean_when_no_counterexamples():

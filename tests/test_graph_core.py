@@ -7,7 +7,14 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import induced_oracle, petersen, random_graph, to_nx, twin_property_oracle
+from conftest import (
+    induced_oracle,
+    petersen,
+    random_graph,
+    relabel_oracle,
+    to_nx,
+    twin_property_oracle,
+)
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from trifree import families
@@ -95,6 +102,21 @@ def test_relabel_and_induced_subgraph():
     for bad in ((0, 0, 1), (0, 1)):
         with pytest.raises(ContractViolation):
             relabel(path(3), bad)
+
+
+def test_relabel_matches_the_per_vertex_loop():
+    rng = random.Random(163)
+    hosts = [random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5))) for _ in range(150)]
+    for _ in range(150):
+        base = random_graph(rng, rng.randint(1, 7))
+        hosts.append(blowup(BlowupSpec(base, tuple(rng.randint(1, 4) for _ in range(base.n)))))
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert relabel(g, perm) == relabel_oracle(g, perm)
+    # K2 plus two isolated twins: both sent to 3 give equal rows, but no bijection
+    with pytest.raises(ContractViolation):
+        relabel(from_edge_list(4, [(0, 1)]), (1, 0, 3, 3))
 
 
 def test_isomorphic_equivalence_and_canonical_form():

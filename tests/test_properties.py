@@ -16,6 +16,7 @@ from conftest import (
     direct_covering_oracle,
     knapsack_coverage_search,
     level_search_args,
+    maximality_oracle,
     nx_independence_number,
     nx_max_weight_independent_set,
     petersen,
@@ -72,6 +73,25 @@ def test_maximality_result_fields():
     r = is_maximal_triangle_free(triangle_plus_isolated())
     assert not r.holds and r.triangle == (0, 1, 2)
 
+
+
+def test_maximality_matches_the_pair_scan():
+    rng = random.Random(157)
+    templates = [g for n in range(1, 9) for g in _tf_graphs(n)]
+    while len(templates) < 582 + 100:  # 100 graphs with triangles
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.4, 0.6)))
+        if not is_triangle_free(g)[0]:
+            templates.append(g)
+    graphs = templates + [
+        blowup(BlowupSpec(g, tuple(rng.randint(1, 3) for _ in range(g.n)))) for g in templates]
+    graphs += [Graph(n, [0] * n) for n in range(2, 6)]
+    graphs.append(from_edge_list(4, [(0, 1)]))  # K2 plus two isolated twins
+    by_quotient = 0
+    for g in graphs:
+        result = is_maximal_triangle_free(g)
+        assert result == maximality_oracle(g)
+        by_quotient += result.holds and quotient(g)[1] is not g
+    assert by_quotient > 30
 
 
 def test_missing_pair_is_the_lexicographically_first():
@@ -503,9 +523,12 @@ def test_cover_bound_keeps_the_knapsack_witnesses_on_large_circulants():
 
 
 def test_cayley_level_two_witness_is_pinned():
-    verdict = check_d(cayley_6k(10), 4)
-    assert not verdict.holds and verdict.level == 2
-    assert verdict.witness == tuple(int(v in (9, 19, 29, 39, 49, 59)) for v in range(60))
+    for k in range(2, 11):
+        g = cayley_6k(k)
+        for checker in (check_d, check_q):
+            verdict = checker(g, 4)
+            assert not verdict.holds and verdict.level == 2
+            assert verdict.witness == tuple(int(v % k == k - 1) for v in range(g.n))
 
 
 def test_a_bad_lifted_witness_is_refused(monkeypatch):

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from itertools import chain
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -61,7 +61,7 @@ EXIT_INPUT = 3
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("ascii")
     with open(path, "r", encoding="ascii") as handle:
         return handle.read()
 
@@ -78,46 +78,18 @@ def _input_graph(args) -> Graph:
     return parse_graph(_read_text(args.infile), args.format)
 
 
-def _dumps(x, indent: str = "") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` nested at ``indent``: int lists,
-    int pairs (edge lists) and scalars at C speed, only tuples and dicts with
-    non-str keys by the indented stdlib encoder."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if type(x) is dict and x and {str}.issuperset(map(type, x)):
-        items = [json.dumps(key) + ": " + _dumps(x[key], inner) for key in sorted(x)]
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    if type(x) is list and x:
-        if {int}.issuperset(map(type, x)):
-            body = sep.join(map(str, x))
-        elif ({list}.issuperset(map(type, x)) and {2}.issuperset(map(len, x))
-              and {int}.issuperset(map(type, chain.from_iterable(x)))):
-            pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-            body = sep.join(map(pair.__mod__, map(tuple, x)))
-        else:
-            body = sep.join([_dumps(item, inner) for item in x])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if x is None or type(x) in (str, int, float, bool):
-        return json.dumps(x)
-    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
 def _emit(args, payload: dict, started: float) -> None:
     report = {"command": args.command, "version": __version__}
     report.update(payload)
     if getattr(args, "timings", False):
         report["elapsed"] = round(time.perf_counter() - started, 3)
-    _write_text(args.out, _dumps(report) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _family_payload(family) -> dict:
     if isinstance(family, AndrasfaiId):
         return {"kind": "andrasfai", "k": family.k}
     return {"kind": "vega", "i": family.i, "mu": family.mu, "nu": family.nu}
-
-
-def _weights_payload(w) -> Optional[list]:
-    return None if w is None else list(w)
 
 
 # -- gen -------------------------------------------------------------------
@@ -176,16 +148,12 @@ def _cmd_check(args) -> tuple[dict, int]:
     if args.tf:
         ok, triangle = is_triangle_free(g)
         payload["property"] = "triangle_free"
-        payload["verdict"] = {"holds": ok, "triangle": list(triangle) if triangle else None}
+        payload["verdict"] = {"holds": ok, "triangle": triangle}
         return payload, EXIT_OK if ok else EXIT_FAIL
     if args.maximal:
         result = is_maximal_triangle_free(g)
         payload["property"] = "maximal_triangle_free"
-        payload["verdict"] = {
-            "holds": result.holds,
-            "triangle": list(result.triangle) if result.triangle else None,
-            "missing_pair": list(result.missing_pair) if result.missing_pair else None,
-        }
+        payload["verdict"] = asdict(result)
         return payload, EXIT_OK if result.holds else EXIT_FAIL
     if args.alpha:
         value, members = independence_number(g)
@@ -193,7 +161,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         payload["property"] = "independence_number"
         payload["verdict"] = {
             "alpha": value,
-            "maximum_independent_set": list(members),
+            "maximum_independent_set": members,
             "min_degree": degrees[0],
             "max_degree": degrees[-1],
         }
@@ -205,7 +173,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     payload["verdict"] = {
         "holds": verdict.holds,
         "level": verdict.level,
-        "witness": _weights_payload(verdict.witness),
+        "witness": verdict.witness,
     }
     return payload, EXIT_OK if verdict.holds else EXIT_FAIL
 
@@ -220,18 +188,11 @@ def _cmd_recognize(args) -> tuple[dict, int]:
     if isinstance(outcome, RecognitionCertificate):
         payload["certificate"] = {
             "family": _family_payload(outcome.family),
-            "class_map": list(outcome.class_map),
-            "weights": list(outcome.weights),
+            "class_map": outcome.class_map,
+            "weights": outcome.weights,
         }
         return payload, EXIT_OK
-    payload["refutation"] = {
-        "kind": outcome.kind,
-        "triangle": list(outcome.triangle) if outcome.triangle else None,
-        "missing_pair": list(outcome.missing_pair) if outcome.missing_pair else None,
-        "level": outcome.level,
-        "witness": _weights_payload(outcome.witness),
-        "details": outcome.details,
-    }
+    payload["refutation"] = asdict(outcome)
     return payload, EXIT_FAIL
 
 
@@ -284,7 +245,6 @@ def _cmd_hunt(args) -> tuple[dict, int]:
 def _report_payload(report, timings: bool) -> dict:
     payload = {
         "name": report.name,
-        "parameters": {},  # the catalog is fixed; the key keeps reports stable
         "passed": report.passed,
         "counterexample": report.counterexample,
         "details": report.details,
@@ -316,7 +276,7 @@ def _cmd_extremal(args) -> tuple[dict, int]:
         "k": result.k,
         "best_found": result.best_found,
         "witnesses": [
-            {"template_graph6": write_graph6(spec.base), "weights": list(spec.weights)}
+            {"template_graph6": write_graph6(spec.base), "weights": spec.weights}
             for spec in result.witnesses
         ],
     }

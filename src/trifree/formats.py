@@ -1,4 +1,4 @@
-"""Graph text formats: the native edge-list format, graph6, DOT, JSON payloads.
+"""Graph text formats: the native edge-list format, graph6, DOT, report payloads.
 
 The native format is line-oriented: one ``p tf <n>`` header, ``e <u> <v>``
 lines with 0-based endpoints in any order, ``#`` starts a comment.  graph6
@@ -32,6 +32,14 @@ def write_elist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(field: str) -> int:
+    """`int(field)` for an optionally signed run of ASCII digits, else ValueError;
+    bare `int` would also take underscores and non-ASCII digits."""
+    if not (field.isascii() and field.lstrip("+-").isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_elist(text: str) -> Graph:
     order = None
     edges = []
@@ -46,14 +54,14 @@ def parse_elist(text: str) -> Graph:
             if len(fields) != 3 or fields[1] != "tf":
                 raise FormatError(f"line {lineno}: expected 'p tf <n>'")
             try:
-                order = int(fields[2])
+                order = _integer(fields[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer order {fields[2]!r}") from None
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
             try:
-                edges.append((int(fields[1]), int(fields[2])))
+                edges.append((_integer(fields[1]), _integer(fields[2])))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer endpoint") from None
         else:
@@ -116,8 +124,8 @@ def write_dot(g: Graph, labels: Optional[dict[int, str]] = None, name: str = "g"
 
 
 def graph_payload(g: Graph) -> dict:
-    """JSON-ready structured form of a graph, used in reports."""
-    return {"order": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    """The one form a report gives a graph: its order, its size and its graph6."""
+    return {"order": g.n, "size": g.edge_count, "graph6": write_graph6(g)}
 
 
 def write_graph(g: Graph, fmt: str) -> str:

@@ -30,7 +30,7 @@ from .families import (
     named_maps,
     vega,
 )
-from .formats import write_elist
+from .formats import graph_payload
 from .graph import (
     Graph,
     _bits,
@@ -62,7 +62,7 @@ class CheckReport:
 
 
 def _fail(graph: Graph, **context) -> dict:
-    payload = {"graph": write_elist(graph)}
+    payload = {"graph": graph_payload(graph)}
     payload.update(context)
     return payload
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
 
-from trifree import __version__, cli
+from trifree import __version__
 from trifree.cli import main
 from trifree.families import andrasfai, cayley_6k, fig41
 from trifree.formats import (
@@ -83,6 +83,15 @@ def test_elist_rejects_malformed_input():
                  "p tf 0", "p tf 1025", "p tf 100000000000000000000"):
         with pytest.raises(FormatError):
             parse_elist(text)
+    # only ASCII decimal integers: bare int() takes underscores and other scripts' digits
+    for text, message in (("p tf 1_0", "line 1: non-integer order '1_0'"),
+                          ("p tf \u0663", "line 1: non-integer order '\u0663'"),
+                          ("p tf 12\ne 0 1_1", "line 2: non-integer endpoint"),
+                          ("p tf 12\ne \u0661 2", "line 2: non-integer endpoint")):
+        with pytest.raises(FormatError) as caught:
+            parse_elist(text)
+        assert str(caught.value) == message
+    assert parse_elist("p tf +3\ne 0 +2").edge_count == 1
 
 
 def test_graph6_rejects_order_above_limit():
@@ -222,6 +231,11 @@ def test_exit_codes():
     assert run_cli(["paper-verify", "--check", "bogus"]).returncode == 2
     assert run_cli(["census", "--n", "3", "--format", "graph6"]).returncode == 2
     assert run_cli(["check", "--tf"], stdin="garbage\n").returncode == 3
+    # stdin is ASCII, as --in PATH is: Arabic-Indic 3 (UTF-8 d9 a3) is no order
+    arabic = subprocess.run([sys.executable, "-m", "trifree", "check", "--tf"],
+                            input=b"p tf \xd9\xa3\n", capture_output=True, timeout=300)
+    assert arabic.returncode == 3 and arabic.stdout == b""
+    assert b"Traceback" not in arabic.stderr
     assert run_cli(["recognize"], stdin="p tf 1\n").returncode == 3  # too small
     assert run_cli(["census", "--n", "13"]).returncode == 3          # guard
     for order in ("1", "0", "-1"):                                   # below 2
@@ -301,61 +315,44 @@ def test_main_entry_point_direct():
     assert main(["gen", "cube", "--out", "/dev/null"]) == 0
 
 
-def _reports(monkeypatch, tmp_path, commands) -> list[tuple[object, str]]:
-    """Each command's report object and the text `cli._emit` wrote for it."""
-    written, values = [], []
-    dumps = cli._dumps
+def _report(tmp_path, argv) -> tuple[int, str]:
+    """Exit code and report text of one in-process command; "{name}" is a file."""
+    out = tmp_path / "report.json"
+    code = main([str(tmp_path / arg[1:-1]) if arg[0] == "{" else arg for arg in argv]
+                + ["--out", str(out)])
+    return code, out.read_text()
 
-    def spy(x, indent=""):
-        if not indent:
-            values.append(x)
-        return dumps(x, indent)
 
-    monkeypatch.setattr(cli, "_dumps", spy)
-    monkeypatch.setattr(cli, "_write_text", lambda path, text: written.append(text))
+def test_reports_name_the_input_graph_in_graph6(tmp_path):
     inputs = {"fig41": fig41(),
               "blowup": blowup(BlowupSpec(andrasfai(3), (1, 2, 3, 1, 2, 3, 1, 2))),
               "triangle": from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)])}
     for name, g in inputs.items():
         (tmp_path / name).write_text(write_elist(g))
+    commands = [[*flags, "--in", "{" + name + "}"]
+                for name in inputs
+                for flags in (["check", "--tf"], ["check", "--maximal"], ["check", "--alpha"],
+                              ["check", "--d", "4"], ["check", "--q", "4"], ["recognize"])]
+    answers = set()
     for argv in commands:
-        main([str(tmp_path / arg[1:-1]) if arg[0] == "{" else arg for arg in argv])
-    assert len(values) == len(written) == len(commands)
-    return list(zip(values, written))
-
-
-def test_report_writer_matches_the_stdlib_on_every_command(monkeypatch, tmp_path):
-    commands = [
-        ["check", "--tf", "--in", "{triangle}"],
-        ["check", "--tf", "--in", "{fig41}"],
-        ["check", "--maximal", "--in", "{triangle}"],
-        ["check", "--maximal", "--in", "{fig41}"],
-        ["check", "--alpha", "--in", "{fig41}"],
-        ["check", "--d", "4", "--in", "{fig41}"],
-        ["check", "--q", "4", "--in", "{fig41}"],
-        ["recognize", "--in", "{blowup}"],
-        ["recognize", "--in", "{fig41}"],
-        ["recognize", "--in", "{triangle}"],
-        ["census", "--n", "6"],
-        ["hunt", "--max-n", "5"],
-        ["paper-verify", "--check", "c310", "--timings"],
-        ["extremal", "--n", "16", "--s", "7", "--search"],
-    ]
-    for report, text in _reports(monkeypatch, tmp_path, commands):
+        code, text = _report(tmp_path, argv)
+        report = json.loads(text)
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        g = inputs[argv[-1][1:-1]]
+        payload = report["graph"]
+        assert sorted(payload) == ["graph6", "order", "size"]
+        h = parse_graph6(payload["graph6"])
+        assert h == g and (payload["order"], payload["size"]) == (g.n, g.edge_count)
+        assert list(h.edges()) == list(g.edges())
+        answers.add((argv[0], code))
+    # both recognize answers, a certificate and a refutation, were read
+    assert {("recognize", 0), ("recognize", 1)} <= answers
 
 
-def test_report_writer_matches_the_stdlib_on_a_corpus(monkeypatch, tmp_path):
-    (report, _), = _reports(monkeypatch, tmp_path, [["recognize", "--in", "{blowup}"]])
-    assert "certificate" in report
-    corpus = [
-        [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [[]]]},
-        [True, 1, False, 0], [[True, 1], [0, False]], None, [None], 0, True,
-        [-3, -1, 0], [2 ** 64 + 1, -(2 ** 70)], [[-1, 2 ** 65], [3, 4]],
-        [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)], (1, 2), [1.5, 2], {"x": 0.1, "y": [1e300]},
-        "caf\u00e9 \u2603 \U0001f600", ["tab\there", 'quote"back\\slash', "new\nline\x00"],
-        {"\u00e9": 1, "b\n": [2], "a": None}, {1: "one", 0: [2, 3]},
-        {"outer": {2: {"deep": [1, 2]}, 1: [1.25]}}, {"graph": report["graph"], "r": report},
-    ]
-    for value in corpus:
-        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+def test_large_input_report_stays_short(tmp_path):
+    # one graph6 string, not four report lines per edge
+    g = andrasfai(100)
+    (tmp_path / "a100").write_text(write_elist(g))
+    code, text = _report(tmp_path, ["check", "--maximal", "--in", "{a100}"])
+    assert code == 0 and len(text.splitlines()) <= 20
+    assert parse_graph6(json.loads(text)["graph"]["graph6"]) == g

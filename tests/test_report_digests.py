@@ -6,8 +6,14 @@ sha256 of that file, so any change to a report byte or an exit code
 fails here.  The digests were recorded at commit a790bdf.  The one of
 `paper-verify --check all` was re-recorded on top of commit 018afc1, when
 the registry dropped its two seeded twin-attach checks and, with them,
-the `seed` key of every check report.  Inputs are written by `gen`, whose
-output is pinned the same way.
+the `seed` key of every check report.  Every `check`, `recognize` and
+`paper-verify` digest was re-recorded on top of commit 7be44b8, when each
+report came to name its graph as order, size and graph6 instead of an edge
+list and the check reports dropped their constant `"parameters": {}`; the
+`gen`, `census`, `hunt` and `extremal` digests were kept, and
+`check --tf` and a refuting `recognize`, both on fig41, were added then so
+that every report shape that carries a graph is pinned.  Inputs are written
+by `gen`, whose output is pinned the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ COMMANDS = (
     + [["check", flag, *level, "--in", "{" + name + "}"]
        for name in ("fig41", "vega310", "cayley2", "andrasfai5")
        for flag, *level in (("--d", "4"), ("--q", "4"), ("--alpha",), ("--maximal",))]
-    + [["recognize", "--in", "{blowup}"], ["extremal", "--n", "16", "--s", "7", "--search"]]
+    + [["check", "--tf", "--in", "{fig41}"], ["recognize", "--in", "{blowup}"],
+       ["recognize", "--in", "{fig41}"], ["extremal", "--n", "16", "--s", "7", "--search"]]
 )
 
 DIGESTS = {
@@ -66,41 +73,45 @@ DIGESTS = {
     "hunt --max-n 8":
         (0, "42a31c2afadec7b2a5252a6b0870cefd1c0b4f76028e006052e1d901503a1882"),
     "paper-verify --check all":
-        (0, "32c02e289d7ce8b8c4133bc08a5abb108224b17de0e28e8996f70ae8a582f3c9"),
+        (0, "8dbac3cb4cace626e2696a2e68719194289a9e399fa0f788685ef724d51604e7"),
     "check --d 4 --in {fig41}":
-        (1, "ecaacc066ea485652feab9e50218a89acbdee5809a0b30075a523b42a2902ad3"),
+        (1, "283487f7cd88d81ee0508b5773da1a1c0fc8be52d0cb81a39354754f1387d699"),
     "check --q 4 --in {fig41}":
-        (1, "353a72d8a298e3f842f91f73a4a3b8347aaef48d30e0da78288da6142ce1843e"),
+        (1, "581c5deadadc71d5fb0bb3202396635b3fb6003a6a5b82a3233086478b135b0f"),
     "check --alpha --in {fig41}":
-        (0, "d388eff135d9591d260e019136d305b4c5401b3de4f7c69d6b0fc7b65b82e232"),
+        (0, "aaf87a781e341cf5e7dacf7b73b2ab05d42f85e52ab5a4ed032dbdbf9a039a36"),
     "check --maximal --in {fig41}":
-        (0, "5380a56774dcc843a6c11e9250a71262421b931bfa947b56e91ae770be512e00"),
+        (0, "9f82ae68a971c42d13562b474a5aef8f573f5c4129e7ddd8483a336c9a0ddd69"),
     "check --d 4 --in {vega310}":
-        (0, "a7b1def92cdb6490c5fee68ea01b233f3187b3d686a75ed27249668d95f7d54e"),
+        (0, "5b22ece3a30d04e420f4458de1519e7560c58683ec35c531b4ba4ab460864972"),
     "check --q 4 --in {vega310}":
-        (0, "d7a5ecc3cfbcb9044044ce8e83084f830491a323cee87e95fc10e1d7742a471b"),
+        (0, "a5b30bb0c160ba981e4968dfeaa5aedf714e75d0d6d29d1c3cf61547ac35c724"),
     "check --alpha --in {vega310}":
-        (0, "7ed01246269af6c9bad0c6f76c1fe842f29deed22aaaa42d31d7830e950eb88b"),
+        (0, "938640640c670943773db411878c9d7ad8f38d6d1ccbf2bc7ae98986a1ee4b84"),
     "check --maximal --in {vega310}":
-        (0, "2a2ec9d3a365e7f42e31f4690ec80ee4dc51cebcdd9944a34b743e4ee558b4cf"),
+        (0, "529bdefc8ebd7d695c06f8115fcab9b4a65364c6622f56ffc86661e79b45f7b0"),
     "check --d 4 --in {cayley2}":
-        (1, "19b6607d64f74a64ecde0ca1cd5e7d285446e6a793610f4da61351e81f51e662"),
+        (1, "70e0097b987f2397132c220acea836660552ae6a7f6d3052a3b5a2457da660af"),
     "check --q 4 --in {cayley2}":
-        (1, "bf14467c4c86d218bf52f8e3ce5bc636e38ae19d242f9ea3cc66deaa67933a86"),
+        (1, "2f299d4ca086e00cdbf6787b27d268ffc5a0a2fe64b3a9bf8904e927ed060f26"),
     "check --alpha --in {cayley2}":
-        (0, "522414840e3d76ee91fce812c542b5f78dabb2d49bbbcdceb8e9cba4a3c6b7eb"),
+        (0, "59bc5dc2d8a88545bb27a766098d0a2c9ffa3f9eebc4e975d3456d6964cc076d"),
     "check --maximal --in {cayley2}":
-        (0, "035177f5a458d21a40c8f7b2dbd896c6b307d19bac3b8b2de0da72e96aba46da"),
+        (0, "98b58f5c160f49644b315633e48b459aa197a863b7b6bdbfd14bc44f3e3a4e42"),
     "check --d 4 --in {andrasfai5}":
-        (0, "d24f67ae25431a2e66df00e16792b4533e9d4cb4179102cb4ab918946d856324"),
+        (0, "2bb092649db0d41e11e5e87d49e36950f9d38dbcfce3d33e32494ee57dd38a55"),
     "check --q 4 --in {andrasfai5}":
-        (0, "082a0d7f2b74c9a5c5aa4677f0a38db3026fc8db6fc7129e3939c462a682a7e4"),
+        (0, "6783c76a8d4045cfced7d174f981833f0d8f6b954d5232b11ec468c687ca5c9c"),
     "check --alpha --in {andrasfai5}":
-        (0, "ffe901684f4e0d6f712f8d0a06bac51021db03feceff62ae6d1e681c6bc9f063"),
+        (0, "40ccc8a4095ebc603342bce3c56144a521775166b026548c9a4998e63f538569"),
     "check --maximal --in {andrasfai5}":
-        (0, "1a6b396c6efac63bd30f1fac58f2d38a694d373b0d4f430bd98ba9998fc75282"),
+        (0, "bab1cc49ab7bd1f201b301223565945568a954ba2cb751a63bcee0dc9543e282"),
+    "check --tf --in {fig41}":
+        (0, "f09643ab14c96d2f1e949dffde883c7e4036d4b03f9bb6f7915e970ab09cae9f"),
     "recognize --in {blowup}":
-        (0, "e91c24d5728e93876ed18338698ac87935b7b3afd07016ce667bf51a33c482ee"),
+        (0, "58287fae33ae5f9a487d75442cc0980a8922f7a49f48f804451892dfae3c115f"),
+    "recognize --in {fig41}":
+        (1, "8547aa2fe0646ae2c755836e5f2a2b0962bc117a01594d9ec24122148dc0f5c1"),
     "extremal --n 16 --s 7 --search":
         (0, "a47cf0c9badfef0acdd0273e2cda926ec814e49ab782612a600f1c523d80fe5f"),
 }

@@ -11,8 +11,8 @@ from conftest import nine_vertex_assert
 import trifree.families as families_module
 import trifree.verify as verify_module
 from trifree.cli import main
-from trifree.families import aux_paths, cube, graph_n, mycielski_grotzsch
-from trifree.formats import parse_elist, write_graph6
+from trifree.families import andrasfai, aux_paths, cube, graph_n, mycielski_grotzsch
+from trifree.formats import parse_graph6, write_graph6
 from trifree.graph import Graph, from_edge_list, induced_copies
 from trifree.properties import check_d, is_triangle_free, validate_d_witness
 from trifree.search import census
@@ -47,12 +47,11 @@ def test_reports_carry_details_and_parameters(tmp_path):
         pattern_report = run_check(name)
         assert pattern_report.passed
         assert pattern_report.details == {"copies": copies}
-    # the catalog is fixed, and the report keeps its empty parameter map
+    # the catalog is fixed, so a check report carries no parameter map
     out = tmp_path / "report.json"
     assert main(["paper-verify", "--check", "degree_table", "--out", str(out)]) == 0
     check = json.loads(out.read_text())["checks"][0]
-    assert check["parameters"] == {}
-    assert sorted(check) == ["counterexample", "details", "name", "parameters", "passed"]
+    assert sorted(check) == ["counterexample", "details", "name", "passed"]
 
 
 def test_no_small_neighborhood_checks_each_member_row(monkeypatch):
@@ -104,7 +103,10 @@ def test_aux_embeddings_failure_names_the_path(monkeypatch):
 
 def _assert_induced_c5_copy(counterexample):
     assert counterexample["member"] == "circulant k=2"  # andrasfai(2) is C5
-    host = parse_elist(counterexample["graph"])
+    payload = counterexample["graph"]
+    host = parse_graph6(payload["graph6"])
+    assert host == andrasfai(2) and list(host.edges()) == list(andrasfai(2).edges())
+    assert (payload["order"], payload["size"]) == (5, 5)
     embedding = counterexample["embedding"]
     assert len(set(embedding)) == 5
     for v in range(5):

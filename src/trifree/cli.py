@@ -12,6 +12,7 @@ path).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -298,7 +299,12 @@ def _add_io(parser, graph_input: bool) -> None:
                         help="include elapsed seconds in the report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build costs milliseconds, a
+    parse a fraction of one, so this saves per `main` call, not per start.
+    Reuse is safe: `parse_args` returns a fresh Namespace, the parser keeps
+    no state between parses, and the ``--check`` registry is fixed."""
     parser = argparse.ArgumentParser(
         prog="trifree",
         description="Generators, covering-property checks, blow-up recognition "

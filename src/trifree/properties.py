@@ -17,12 +17,13 @@ property, each vertex with an independent neighbourhood for the variant.
 Y = 1 on the bounded vertices, with D the least number of them in any
 neighbourhood, is a dual when fewer than 3D are bounded (delta > n/3 for
 the plain property), and is tried first.  When n >= 3 * (largest bounded
-degree), w = 1/that degree reaches 3, so no dual exists and the simplex is
-skipped.  Refutations come from the DFS, which drops a subtree (never a
-leaf) once the room left in neighbourhoods covering its vertices, plus the
-caps of its isolated vertices, is below the weight still to place.  It jumps
-over each vertex next to a full neighbourhood (room 0): that node has one
-child, weight 0, so the leaves and their order do not change.
+degree), w = 1/that degree reaches 3, so no dual exists; otherwise a simplex
+on the condensed n x (n+1) tableau finds the optimal one.  Refutations come
+from the DFS, which drops a subtree (never a leaf) once the room left in
+neighbourhoods covering its vertices, plus the caps of its isolated
+vertices, is below the weight still to place.  It jumps over each vertex
+next to a full neighbourhood (room 0): that node has one child, weight 0,
+so the leaves and their order do not change.
 
 Maximum-weight independent sets take isolated vertices, and pendant
 vertices at least as heavy as their neighbour (a set holding the neighbour
@@ -306,18 +307,23 @@ def _certificate_free(g: Graph, m: int, weights) -> bool:
 def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
     """Integer dual (Y, D) of max{sum w : A w <= 1, w >= 0} if its value is below 3.
 
-    A's rows are the neighbourhoods of ``rows``.  Fraction-free simplex from
-    the slack basis: rows stay integral over D, the last pivot; Bland's rule
-    cannot cycle.  None once a basis reaches 3 or a column is unbounded.
+    A's rows are the neighbourhoods of ``rows``, with slack n + i on row i.
+    Fraction-free simplex from the slack basis: rows stay integral over D,
+    the last pivot; Bland's rule (least variable) cannot cycle.  A basic
+    column is D times a unit vector, so only the n nonbasic ones are kept: a
+    pivot's slot takes the leaving variable (the old D in the pivot row, -f
+    in a row with entry f), and a row with f = 0 is unchanged, so skipped,
+    when the pivot is D.  None once a basis reaches 3 or a column is unbounded.
     """
-    n, r = g.n, len(rows)
-    tab = [[g.adj[y] >> v & 1 for v in range(n)] + [int(i == j) for j in range(r)] + [1]
-           for i, y in enumerate(rows)]
-    obj, basis, d = [-1] * n + [0] * (r + 1), list(range(n, n + r)), 1
+    n = g.n
+    tab = [[g.adj[y] >> v & 1 for v in range(n)] + [1] for y in rows]
+    obj, d = [-1] * n + [0], 1
+    basis, nonbasic = list(range(n, n + len(rows))), list(range(n))
     while obj[-1] < 3 * d:
-        col = next((j for j in range(n + r) if obj[j] < 0), None)
+        col = min((j for j in range(n) if obj[j] < 0), key=nonbasic.__getitem__, default=None)
         if col is None:
-            dual = dict(zip(rows, obj[n:-1]))
+            reduced = dict(zip(nonbasic, obj))
+            dual = {y: reduced.get(n + i, 0) for i, y in enumerate(rows)}
             return tuple(dual.get(y, 0) for y in range(n)), d
         best = None
         for i, row in enumerate(tab):
@@ -328,10 +334,13 @@ def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], 
             return None
         prow, p = tab[best], tab[best][col]
         for row in tab + [obj]:
-            if row is not prow:
-                f = row[col]
-                row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
-        basis[best], d = col, p
+            f = row[col]
+            if row is prow or not f and p == d:
+                continue
+            row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            row[col] = -f
+        prow[col] = d
+        basis[best], nonbasic[col], d = nonbasic[col], basis[best], p
     return None
 
 

@@ -371,6 +371,41 @@ def maximality_oracle(g: Graph) -> MaximalityResult:
     return MaximalityResult(True, None, None)
 
 
+def simplex_oracle(g: Graph, rows: list[int]):
+    """Integer dual (Y, D) of max{sum w : A w <= 1, w >= 0} if its value is below 3.
+
+    The reference for `properties._simplex_dual`, which keeps only the
+    nonbasic columns; this keeps the full n × (n + r) tableau, slack columns
+    included, and must make the same pivots.  A's rows are the
+    neighbourhoods of ``rows``.  Fraction-free simplex from the slack basis:
+    rows stay integral over D, the last pivot; Bland's rule cannot cycle.
+    None once a basis reaches 3 or a column is unbounded.
+    """
+    n, r = g.n, len(rows)
+    tab = [[g.adj[y] >> v & 1 for v in range(n)] + [int(i == j) for j in range(r)] + [1]
+           for i, y in enumerate(rows)]
+    obj, basis, d = [-1] * n + [0] * (r + 1), list(range(n, n + r)), 1
+    while obj[-1] < 3 * d:
+        col = next((j for j in range(n + r) if obj[j] < 0), None)
+        if col is None:
+            dual = dict(zip(rows, obj[n:-1]))
+            return tuple(dual.get(y, 0) for y in range(n)), d
+        best = None
+        for i, row in enumerate(tab):
+            if row[col] > 0 and (best is None or (row[-1] * tab[best][col], basis[i])
+                                 < (tab[best][-1] * row[col], basis[best])):
+                best = i
+        if best is None:
+            return None
+        prow, p = tab[best], tab[best][col]
+        for row in tab + [obj]:
+            if row is not prow:
+                f = row[col]
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        basis[best], d = col, p
+    return None
+
+
 def relabel_oracle(g: Graph, perm) -> Graph:
     """g with vertex v renamed to perm[v], one vertex at a time.
 

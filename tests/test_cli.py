@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -14,8 +15,8 @@ import pytest
 from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
 
 from trifree import __version__
-from trifree.cli import main
-from trifree.families import andrasfai, cayley_6k, fig41
+from trifree.cli import build_parser, main
+from trifree.families import andrasfai, cayley_6k, fig41, vega
 from trifree.formats import (
     FormatError,
     parse_elist,
@@ -356,3 +357,30 @@ def test_large_input_report_stays_short(tmp_path):
     code, text = _report(tmp_path, ["check", "--maximal", "--in", "{a100}"])
     assert code == 0 and len(text.splitlines()) <= 20
     assert parse_graph6(json.loads(text)["graph"]["graph6"]) == g
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    (tmp_path / "vega").write_text(write_elist(vega(2, 0, 0)[0]))
+    first = _report(tmp_path, ["check", "--d", "4", "--in", "{vega}"])
+    assert first[0] == 0
+    timed = _report(tmp_path, ["check", "--d", "4", "--timings", "--in", "{vega}"])
+    assert "elapsed" in json.loads(timed[1])
+    assert _report(tmp_path, ["check", "--d", "4", "--in", "{vega}"]) == first
+    # a flag of the exclusive group does not stay set for the next parse
+    assert _report(tmp_path, ["check", "--alpha", "--in", "{vega}"])[0] == 0
+    assert _report(tmp_path, ["check", "--q", "4", "--in", "{vega}"])[0] == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["check", "--in", str(tmp_path / "vega")])
+    assert usage.value.code == 2 and "one of the arguments" in capsys.readouterr().err
+    assert _report(tmp_path, ["check", "--d", "4", "--in", "{vega}"]) == first
+    commands = ("gen", "check", "recognize", "census", "hunt", "paper-verify", "extremal")
+    assert built == ["trifree"] + [f"trifree {name}" for name in commands]

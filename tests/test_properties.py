@@ -21,6 +21,7 @@ from conftest import (
     nx_max_weight_independent_set,
     petersen,
     random_graph,
+    simplex_oracle,
 )
 
 from trifree.families import (
@@ -472,6 +473,28 @@ def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
     # delta <= n/3, so the all-ones certificate fails and the simplex runs
     assert check_d(vega(2, 0, 0)[0], 4).certificate is not None
     assert calls == 1
+
+
+def test_simplex_matches_the_full_tableau():
+    # the condensed tableau makes the same pivots: the same (Y, D), or None
+    def cases():
+        named = [vega(i, mu, nu)[0] for i in range(2, 9) for mu in (0, 1) for nu in (0, 1)]
+        named += [vega(20, 1, 1)[0], fig41()] + [andrasfai(k) for k in range(1, 12)]
+        named += [cayley_6k(k) for k in range(2, 6)]
+        for g in named + [g for n in range(2, 9) for g in _tf_graphs(n)]:
+            yield g, list(range(g.n))
+            yield g, [y for y, ok in enumerate(_bounded(g, True)) if ok]
+        rng = random.Random(151)
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6)))
+            yield g, [y for y in range(g.n) if rng.random() < 0.7]
+
+    proved = 0
+    for g, rows in cases():
+        dual = _simplex_dual(g, rows)
+        assert dual == simplex_oracle(g, rows), (g.adj, rows)
+        proved += dual is not None
+    assert proved > 500
 
 
 # -- the coverage DFS against the knapsack reference ------------------------

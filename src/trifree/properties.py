@@ -17,11 +17,13 @@ property, each vertex with an independent neighbourhood for the variant.
 Y = 1 on the bounded vertices, with D the least number of them in any
 neighbourhood, is a dual when fewer than 3D are bounded (delta > n/3 for
 the plain property), and is tried first.  When n >= 3 * (largest bounded
-degree), w = 1/that degree reaches 3, so no dual exists; otherwise a simplex
-on the condensed n x (n+1) tableau finds the optimal one.  Refutations come
-from the DFS, which drops a subtree (never a leaf) once the room left in
-neighbourhoods covering its vertices, plus the caps of its isolated
-vertices, is below the weight still to place.  It jumps over each vertex
+degree), w = 1/that degree reaches 3, so no dual exists; otherwise `_simplex`
+finds the optimal one on the condensed n x (n+1) tableau.  That one exact
+kernel also decides the extremal search's root bound per template (see
+`search._template_optimum`).  Refutations come from the DFS, which drops a
+subtree (never a leaf) once the room left in neighbourhoods covering its
+vertices, plus the caps of its isolated vertices, is below the weight still
+to place.  It jumps over each vertex
 next to a full neighbourhood (room 0): that node has one child, weight 0,
 so the leaves and their order do not change.
 
@@ -304,27 +306,30 @@ def _certificate_free(g: Graph, m: int, weights) -> bool:
     return True
 
 
-def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
-    """Integer dual (Y, D) of max{sum w : A w <= 1, w >= 0} if its value is below 3.
+def _simplex(rows, rhs, cost, stop: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """Reduced costs by variable and D for max{cost.x : rows x <= rhs, x >= 0},
+    if its optimum is below ``stop``; integer data with rhs >= 0.
 
-    A's rows are the neighbourhoods of ``rows``, with slack n + i on row i.
-    Fraction-free simplex from the slack basis: rows stay integral over D,
-    the last pivot; Bland's rule (least variable) cannot cycle.  A basic
-    column is D times a unit vector, so only the n nonbasic ones are kept: a
-    pivot's slot takes the leaving variable (the old D in the pivot row, -f
-    in a row with entry f), and a row with f = 0 is unchanged, so skipped,
-    when the pivot is D.  None once a basis reaches 3 or a column is unbounded.
+    Variable r < len(cost) is column r, and len(cost) + i the slack of row i,
+    so an optimal slack's reduced cost / D is the dual of its row.
+    Fraction-free simplex from the slack basis: every entry stays integral
+    over D, the last pivot; Bland's rule (least variable) cannot cycle.  A
+    basic column is D times a unit vector, so only the nonbasic ones are
+    kept: a pivot's slot takes the leaving variable (the old D in the pivot
+    row, -f in a row with entry f), and a row with f = 0 is unchanged, so
+    skipped, when the pivot is D.  None once a basis reaches ``stop`` (each
+    is feasible) or a column is unbounded.  Callers: `_simplex_dual` and the
+    extremal search's root bound.
     """
-    n = g.n
-    tab = [[g.adj[y] >> v & 1 for v in range(n)] + [1] for y in rows]
-    obj, d = [-1] * n + [0], 1
-    basis, nonbasic = list(range(n, n + len(rows))), list(range(n))
-    while obj[-1] < 3 * d:
+    n = len(cost)
+    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    obj, d = [-c for c in cost] + [0], 1
+    basis, nonbasic = list(range(n, n + len(tab))), list(range(n))
+    while obj[-1] < stop * d:
         col = min((j for j in range(n) if obj[j] < 0), key=nonbasic.__getitem__, default=None)
         if col is None:
             reduced = dict(zip(nonbasic, obj))
-            dual = {y: reduced.get(n + i, 0) for i, y in enumerate(rows)}
-            return tuple(dual.get(y, 0) for y in range(n)), d
+            return tuple(reduced.get(r, 0) for r in range(n + len(tab))), d
         best = None
         for i, row in enumerate(tab):
             if row[col] > 0 and (best is None or (row[-1] * tab[best][col], basis[i])
@@ -342,6 +347,21 @@ def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], 
         prow[col] = d
         basis[best], nonbasic[col], d = nonbasic[col], basis[best], p
     return None
+
+
+def _simplex_dual(g: Graph, rows: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Integer dual (Y, D) of max{sum w : A w <= 1, w >= 0} if its value is below 3.
+
+    A's rows are the neighbourhoods of ``rows``; Y is the reduced cost of
+    each row's slack in `_simplex`, 0 off ``rows``.
+    """
+    n = g.n
+    solved = _simplex([[g.adj[y] >> v & 1 for v in range(n)] for y in rows],
+                      [1] * len(rows), [1] * n, 3)
+    if solved is None:
+        return None
+    dual = dict(zip(rows, solved[0][n:]))
+    return tuple(dual.get(y, 0) for y in range(n)), solved[1]
 
 
 def _decide(g: Graph, k: int, bounded, search) -> Verdict:

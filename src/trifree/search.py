@@ -56,7 +56,7 @@ from .graph import (
     from_edge_list,
     quotient,
 )
-from .properties import _check_d, _check_q, independence_number, is_triangle_free
+from .properties import _check_d, _check_q, _simplex, independence_number, is_triangle_free
 from .recognition import match_template
 
 ENUMERATION_GUARD = 12
@@ -345,6 +345,15 @@ def _template_optimum(
     unplaced vertices lack the independence headroom for the weight left.
     The edge cut is strict, so no weighting that reaches the floor is lost.
 
+    A positive floor is first tried at the root.  As w >= 1 and slack >= 0,
+    sum_v w_v * slack_v >= sum_v slack_v = ts - sum_v deg(v) * w_v, so with
+    x = w - 1 >= 0, 2E <= ns - ts + 2m + sum_v deg(v) * x_v, m the template's
+    edges.  A feasible x has x(I) <= s - |I| on each maximal independent set
+    I and sum x = n - t, so when the LP max{deg . x : those rows, sum x <=
+    n - t} is below 2 * floor - ns + ts - 2m, exactly by `_simplex`, no
+    weighting reaches the floor and the walk is skipped.  Strict again, so
+    ties at the floor are walked.
+
     Returns the optimum and its weight tuples in lexicographic order, or
     (-1, []) when no feasible weighting reaches ``floor``.
     """
@@ -355,6 +364,13 @@ def _template_optimum(
     mis_load = [m.bit_count() for m in mis_masks]  # all-ones placeholder weights
     if max(mis_load) > s:
         return -1, []
+    degree = [row.bit_count() for row in template.adj]
+    if floor > 0 and _simplex(
+        [[m >> v & 1 for v in range(t)] for m in mis_masks] + [[1] * t],
+        [s - load for load in mis_load] + [n - t], degree,
+        2 * floor - (n - t) * s - sum(degree),
+    ) is not None:
+        return -1, []
     per_vertex = [[j for j, m in enumerate(mis_masks) if m >> v & 1] for v in range(t)]
     nbr = [tuple(_bits(template.adj[v])) for v in range(t)]
     order: list[int] = []
@@ -364,8 +380,8 @@ def _template_optimum(
             template.adj[v] & unplaced == 1 << u for v in nbr[u])))
         unplaced &= ~(1 << order[-1])
     weights = [1] * t
-    near = [len(row) for row in nbr]  # W(N(v)), kept up to date
-    open_nbrs = [len(row) for row in nbr]  # unplaced vertices in N(v)
+    near = list(degree)  # W(N(v)), kept up to date
+    open_nbrs = list(degree)  # unplaced vertices in N(v)
     best = -1
     best_weights: list[tuple[int, ...]] = []
 
@@ -448,9 +464,13 @@ def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> Extr
     independent, so 2E = ns - sum_v w_v * (s - W(N(v))) with every term >= 0
     (see `_template_optimum`).  Each template is walked with the best value
     so far as its floor; one that cannot reach it stops early and is
-    dropped.  Witnesses come template by template, each template's
-    weightings in lexicographic order, deduplicated by canonical form of
-    the expansion.
+    dropped.  Once the floor is positive, a template is first tried at the
+    root: w >= 1 makes the edge bound linear in x = w - 1, and one exact LP
+    over the maximal-independent-set rows proves most templates losers
+    without a walk (at (22,9) only the first two of 19 are walked).  It is
+    a relaxation, so the result is unchanged.  Witnesses come template by
+    template, each template's weightings in lexicographic order,
+    deduplicated by canonical form of the expansion.
     """
     k, formula = _extremal(n, s)  # validates (n, s) before the cap
     if n > max_order:

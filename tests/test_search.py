@@ -487,10 +487,97 @@ def test_template_optimum_matches_the_plain_walk(monkeypatch):
     assert optima > 50
 
 
+def _spy_simplex(monkeypatch) -> list:
+    """Each (rows, rhs, cost, stop, result) of the root-bound LPs, appended
+    as `search._template_optimum` solves them."""
+    calls = []
+    original = search_module._simplex
+
+    def recorded(rows, rhs, cost, stop):
+        result = original(rows, rhs, cost, stop)
+        calls.append((rows, rhs, cost, stop, result))
+        return result
+
+    monkeypatch.setattr(search_module, "_simplex", recorded)
+    return calls
+
+
+def test_root_bound_is_sound_and_its_dual_checks(monkeypatch):
+    pairs = [(n, s) for n in range(5, 17) for s in range(n // 3 + 1, n // 2 + 1)]
+    walked = _walked_templates(monkeypatch, pairs)
+    calls = _spy_simplex(monkeypatch)
+    rejected = 0
+    for template, n, s in walked:
+        value, _ = extremal_oracle(template, n, s)
+        t = template.n
+        degree = [template.degree(v) for v in range(t)]
+        rows = [[m >> v & 1 for v in range(t)] for m in _maximal_independent_sets(template)]
+        rhs = [s - sum(row) for row in rows] + [n - t]
+        rows.append([1] * t)
+        for floor in (value - 1, value, value + 1):
+            calls.clear()
+            found = search_module._template_optimum(template, n, s, floor)
+            if not calls or calls[0][-1] is None:
+                continue
+            # a rejection is sound: no weighting reaches the floor
+            assert found == (-1, []) and value < floor
+            [(lp_rows, lp_rhs, cost, stop, (reduced, d))] = calls
+            assert (lp_rows, lp_rhs, cost) == (rows, rhs, degree)
+            assert stop == 2 * floor - n * s + t * s - 2 * template.edge_count
+            # integer weak duality: y >= 0 pays every column's cost, and
+            # y . rhs < D * stop bounds the LP optimum below stop
+            y = reduced[t:]
+            assert len(y) == len(rows) and min(y) >= 0 and d >= 1
+            for v in range(t):
+                assert sum(yi * row[v] for yi, row in zip(y, rows)) >= d * degree[v]
+            assert sum(yi * b for yi, b in zip(y, rhs)) < d * stop
+            rejected += 1
+    assert rejected > 50
+
+
+def test_root_bound_leaves_two_templates_to_walk_at_22_9(monkeypatch):
+    calls = _spy_simplex(monkeypatch)
+    outcomes = []
+    original = search_module._template_optimum
+
+    def recorded(template, n, s, floor=-1):
+        calls.clear()
+        found = original(template, n, s, floor)
+        outcomes.append((template, found[0], [result is not None for *_, result in calls]))
+        return found
+
+    monkeypatch.setattr(search_module, "_template_optimum", recorded)
+    search_extremal(22, 9)
+    assert len(outcomes) == 19
+    walked = [(template.adj, value) for template, value, lp in outcomes if lp != [True]]
+    # andrasfai(1) admits no weighting, so C5 is walked with no floor
+    assert walked == [(andrasfai(1).adj, -1), (andrasfai(2).adj, 97)]
+    assert sum(lp == [True] for _, _, lp in outcomes) == 17
+
+
+@pytest.mark.parametrize("low, high", [
+    (2, 24),
+    pytest.param(25, search_module.EXTREMAL_MAX_ORDER, marks=pytest.mark.slow),
+])
+def test_extremal_search_attains_the_formula_up_to_the_cap(low, high):
+    pairs = [(n, s) for n in range(low, high + 1) for s in range(n // 3 + 1, n // 2 + 1)]
+    assert len(pairs) == {2: 52, 25: 28}[low]
+    for n, s in pairs:
+        result = search_extremal(n, s)
+        assert result.best_found == result.formula_value, (n, s)
+
+
 @pytest.mark.parametrize("n, s, best, witnesses", [
     (22, 9, 97, [("DUW", (4, 4, 5, 4, 5))]),
     (24, 11, 125, [("DUW", (2, 2, 9, 2, 9)), ("DUW", (2, 3, 8, 2, 9)),
                    ("DUW", (2, 4, 7, 2, 9)), ("DUW", (2, 5, 6, 2, 9))]),
+    # recorded with the plain walk, before the root bound
+    (24, 10, 116, [("DUW", (4, 4, 6, 4, 6)), ("DUW", (4, 5, 5, 4, 6))]),
+    (26, 11, 137, [("DUW", (4, 4, 7, 4, 7)), ("DUW", (4, 5, 6, 4, 7))]),
+    (28, 12, 160, [("DUW", (4, 4, 8, 4, 8)), ("DUW", (4, 5, 7, 4, 8)),
+                   ("DUW", (4, 6, 6, 4, 8))]),
+    (30, 13, 185, [("DUW", (4, 4, 9, 4, 9)), ("DUW", (4, 5, 8, 4, 9)),
+                   ("DUW", (4, 6, 7, 4, 9))]),
 ])
 def test_extremal_witnesses_are_pinned(n, s, best, witnesses):
     result = search_extremal(n, s)

@@ -322,7 +322,7 @@ def _simplex(rows, rhs, cost, stop: int) -> Optional[tuple[tuple[int, ...], int]
     extremal search's root bound.
     """
     n = len(cost)
-    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    tab = [[*row, b] for row, b in zip(rows, rhs)]
     obj, d = [-c for c in cost] + [0], 1
     basis, nonbasic = list(range(n, n + len(tab))), list(range(n))
     while obj[-1] < stop * d:

@@ -173,6 +173,36 @@ def test_census_reports_are_byte_identical():
     assert all(row["d4"] == (row["recognized"] is not None) for row in report["rows"])
 
 
+def test_census_assert_reports_the_first_violation(tmp_path, monkeypatch):
+    import dataclasses
+
+    import trifree.search as search_module
+
+    genuine = search_module.census_row
+
+    def doctored(g):  # K_{2,3} claims no level-4 covering, yet is recognized
+        row = genuine(g)
+        return dataclasses.replace(row, d4=False) if write_graph6(g) == "D]o" else row
+
+    monkeypatch.setattr(search_module, "census_row", doctored)
+    code, text = _report(tmp_path, ["census", "--n", "5", "--assert"])
+    assert code == 1
+    assert json.loads(text) == {
+        "command": "census",
+        "version": __version__,
+        "n": 5,
+        "violation": {
+            "invariant": "level-4 covering iff recognized as a blow-up",
+            "row": {
+                "order": 5, "graph6": "D]o",
+                "d2": True, "d3": True, "d4": False, "q4": True,
+                "recognized": {"kind": "andrasfai", "k": 1},
+                "induced_c6": False, "contains_upsilon": False,
+            },
+        },
+    }
+
+
 def test_census_n12_asserts_every_row():
     done = run_cli(["census", "--n", "12", "--allow-large", "--assert"])
     assert done.returncode == 0, done.stderr

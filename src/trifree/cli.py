@@ -34,7 +34,7 @@ from .families import (
     mycielski_grotzsch,
     vega,
 )
-from .formats import graph_payload, parse_graph, write_dot, write_graph, write_graph6
+from .formats import graph_payload, integer, parse_graph, write_dot, write_graph, write_graph6
 from .graph import BlowupSpec, Graph, blowup
 from .properties import (
     check_d,
@@ -46,9 +46,9 @@ from .properties import (
 from .recognition import RecognitionCertificate, recognize
 from .search import (
     EXTREMAL_MAX_ORDER,
-    CensusError,
     ResourceGuardError,
     census,
+    check_census_row,
     hunt_conjecture,
     search_extremal,
 )
@@ -126,7 +126,7 @@ def _build_family(args) -> tuple[Graph, Optional[dict[int, str]]]:
         if args.weights is None:
             raise ValueError("gen blowup requires --weights")
         base = _input_graph(args)
-        weights = tuple(int(part) for part in args.weights.split(","))
+        weights = tuple(integer(part) for part in args.weights.split(","))
         return blowup(BlowupSpec(base, weights)), None
     raise ValueError(f"unknown family {family!r}")
 
@@ -202,7 +202,7 @@ def _cmd_recognize(args) -> tuple[dict, int]:
 
 def _row_payload(row) -> dict:
     return {
-        "order": row.order,
+        "order": row.graph.n,
         "graph6": write_graph6(row.graph),
         "d2": row.d2,
         "d3": row.d3,
@@ -215,16 +215,15 @@ def _row_payload(row) -> dict:
 
 
 def _cmd_census(args) -> tuple[dict, int]:
-    try:
-        rows = census(args.n, strict=args.assert_, allow_large=args.allow_large)
-    except CensusError as exc:
-        return {
-            "n": args.n,
-            "violation": {
-                "invariant": exc.violation.invariant,
-                "row": _row_payload(exc.violation.row),
-            },
-        }, EXIT_FAIL
+    rows = census(args.n, allow_large=args.allow_large)
+    if args.assert_:
+        for row in rows:
+            invariant = check_census_row(row)
+            if invariant is not None:
+                return {
+                    "n": args.n,
+                    "violation": {"invariant": invariant, "row": _row_payload(row)},
+                }, EXIT_FAIL
     return {
         "n": args.n,
         "count": len(rows),
@@ -318,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=(
         "andrasfai", "vega", "mycielski", "cube", "graph-n", "cayley",
         "fig41", "haggkvist", "blowup"))
-    p.add_argument("--k", type=int, help="index for andrasfai/cayley")
-    p.add_argument("--i", type=int, help="inner index for vega")
-    p.add_argument("--mu", type=int, default=0, choices=(0, 1))
-    p.add_argument("--nu", type=int, default=0, choices=(0, 1))
+    p.add_argument("--k", type=integer, help="index for andrasfai/cayley")
+    p.add_argument("--i", type=integer, help="inner index for vega")
+    p.add_argument("--mu", type=integer, default=0, choices=(0, 1))
+    p.add_argument("--nu", type=integer, default=0, choices=(0, 1))
     p.add_argument("--weights", help="comma-separated blow-up weights (gen blowup)")
     p.add_argument("--in", dest="infile", default="-", metavar="PATH",
                    help="template graph for gen blowup")
@@ -335,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tf", action="store_true", help="triangle-freeness")
     group.add_argument("--maximal", action="store_true", help="maximal triangle-freeness")
     group.add_argument("--alpha", action="store_true", help="independence number")
-    group.add_argument("--d", type=int, metavar="K", help="weighted covering property at level K")
-    group.add_argument("--q", type=int, metavar="K",
+    group.add_argument("--d", type=integer, metavar="K",
+                       help="weighted covering property at level K")
+    group.add_argument("--q", type=integer, metavar="K",
                        help="certificate variant of the covering property")
     _add_io(p, graph_input=True)
     p.set_defaults(handler=_cmd_check)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("census", help="classify all maximal triangle-free graphs of one order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="fail (exit 1) on any classification-invariant violation")
     p.add_argument("--allow-large", action="store_true",
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("hunt", help="search small orders for covering-property counterexamples")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=integer, required=True)
     p.add_argument("--allow-large", action="store_true")
     _add_io(p, graph_input=False)
     p.set_defaults(handler=_cmd_hunt)
@@ -366,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_paper_verify)
 
     p = sub.add_parser("extremal", help="edge-maximum blow-ups at bounded independence")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--s", type=integer, required=True)
     p.add_argument("--search", action="store_true",
                    help="also search template blow-ups for attaining weightings")
-    p.add_argument("--max-order", type=int, default=EXTREMAL_MAX_ORDER,
+    p.add_argument("--max-order", type=integer, default=EXTREMAL_MAX_ORDER,
                    help="largest order n the search accepts (default %(default)s); "
                         "a larger n exits 3")
     _add_io(p, graph_input=False)

@@ -19,6 +19,7 @@ from .graph import (
     BlowupSpec,
     ConstructionError,
     Graph,
+    InternalConsistencyError,
     _bits,
     check_order,
     from_edge_list,
@@ -27,10 +28,6 @@ from .graph import (
 
 class UnavailableMapError(ValueError):
     """The requested named map does not exist on this family member."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A constructed object failed its own validity re-check."""
 
 
 @dataclass(frozen=True)

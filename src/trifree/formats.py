@@ -32,11 +32,12 @@ def write_elist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _integer(field: str) -> int:
+def integer(field: str) -> int:
     """`int(field)` for an optionally signed run of ASCII digits, else ValueError;
-    bare `int` would also take underscores and non-ASCII digits."""
+    bare `int` would also take underscores and non-ASCII digits.  The one
+    integer parser for every text input: elist fields and CLI options."""
     if not (field.isascii() and field.lstrip("+-").isdigit()):
-        raise ValueError(field)
+        raise ValueError(f"invalid integer {field!r}")
     return int(field)
 
 
@@ -54,14 +55,14 @@ def parse_elist(text: str) -> Graph:
             if len(fields) != 3 or fields[1] != "tf":
                 raise FormatError(f"line {lineno}: expected 'p tf <n>'")
             try:
-                order = _integer(fields[2])
+                order = integer(fields[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer order {fields[2]!r}") from None
         elif fields[0] == "e":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
             try:
-                edges.append((_integer(fields[1]), _integer(fields[2])))
+                edges.append((integer(fields[1]), integer(fields[2])))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer endpoint") from None
         else:

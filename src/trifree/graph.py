@@ -23,6 +23,10 @@ class ContractViolation(RuntimeError):
     """A caller passed data that breaks a documented contract."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """A constructed object failed its own validity re-check."""
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of `mask` in increasing order."""
     while mask:

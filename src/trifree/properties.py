@@ -41,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .families import InternalConsistencyError
-from .graph import Graph, _bits, quotient
+from .graph import Graph, InternalConsistencyError, _bits, quotient
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .families import AndrasfaiId, VegaId, _extremal, andrasfai, mycielski_grotz
 from .graph import (
     BlowupSpec,
     Graph,
+    InternalConsistencyError,
     _bits,
     _closure,
     _independent_masks,
@@ -70,7 +71,6 @@ class ResourceGuardError(RuntimeError):
 @dataclass(frozen=True)
 class CensusRow:
     graph: Graph
-    order: int
     d2: bool
     d3: bool
     d4: bool
@@ -78,18 +78,6 @@ class CensusRow:
     recognized: Optional[Union[AndrasfaiId, VegaId]]
     induced_c6: bool
     contains_upsilon: bool
-
-
-@dataclass(frozen=True)
-class CensusViolation:
-    invariant: str
-    row: CensusRow
-
-
-class CensusError(AssertionError):
-    def __init__(self, violation: CensusViolation):
-        super().__init__(f"census invariant failed: {violation.invariant}")
-        self.violation = violation
 
 
 @dataclass(frozen=True)
@@ -270,7 +258,6 @@ def census_row(g: Graph) -> CensusRow:
     contains_upsilon = next(find_induced_all(q, _UPSILON), None) is not None
     return CensusRow(
         graph=g,
-        order=g.n,
         d2=d2,
         d3=d3,
         d4=d.holds,
@@ -281,42 +268,30 @@ def census_row(g: Graph) -> CensusRow:
     )
 
 
-def check_census_row(row: CensusRow) -> Optional[CensusViolation]:
-    """The characterization-theorem invariants for one classified graph."""
+def check_census_row(row: CensusRow) -> Optional[str]:
+    """The first characterization-theorem invariant one classified graph
+    breaks, as its text, or None when it keeps all four."""
     if row.d4 != (row.recognized is not None):
-        return CensusViolation("level-4 covering iff recognized as a blow-up", row)
+        return "level-4 covering iff recognized as a blow-up"
     if row.q4 != row.d4:
-        return CensusViolation("certificate variant agrees with plain covering", row)
-    is_andrasfai = isinstance(row.recognized, AndrasfaiId)
-    if (not row.induced_c6) != is_andrasfai:
-        return CensusViolation("hexagon-free iff recognized over the circulant family", row)
+        return "certificate variant agrees with plain covering"
+    if (not row.induced_c6) != isinstance(row.recognized, AndrasfaiId):
+        return "hexagon-free iff recognized over the circulant family"
     if row.d3 and row.induced_c6 and not row.contains_upsilon:
-        return CensusViolation(
-            "level-3 covering with an induced hexagon must contain the 11-vertex pattern",
-            row,
-        )
+        return "level-3 covering with an induced hexagon must contain the 11-vertex pattern"
     return None
 
 
-def census(n: int, strict: bool = True, allow_large: bool = False) -> list[CensusRow]:
-    """Classify every maximal triangle-free graph on n vertices.
-
-    With ``strict``, the first invariant violation raises CensusError with
-    the offending row attached.
-    """
-    rows = [census_row(g) for g in enumerate_maximal_tf(n, allow_large)]
-    if strict:
-        for row in rows:
-            violation = check_census_row(row)
-            if violation is not None:
-                raise CensusError(violation)
-    return rows
+def census(n: int, allow_large: bool = False) -> list[CensusRow]:
+    """Classify every maximal triangle-free graph on n vertices, one row per
+    graph in enumeration order; `check_census_row` tests a row."""
+    return [census_row(g) for g in enumerate_maximal_tf(n, allow_large)]
 
 
 def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
     """All maximal triangle-free graphs up to max_n vertices where the
     level-3 covering property holds but level 4 fails: the graphs of the
-    rows of `census(n, strict=False)` with d3 and not d4, in census order.
+    rows of `census(n)` with d3 and not d4, in census order.
 
     The first failing level decides level 3 too.  Completeness over the
     searched range is the contract, not existence of a hit.  A max_n below
@@ -324,7 +299,7 @@ def hunt_conjecture(max_n: int, allow_large: bool = False) -> list[Graph]:
     """
     _guard(max_n, allow_large)
     return [row.graph for n in range(2, max_n + 1)
-            for row in census(n, strict=False, allow_large=allow_large)
+            for row in census(n, allow_large=allow_large)
             if row.d3 and not row.d4]
 
 
@@ -508,5 +483,5 @@ def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> Extr
         free, _ = is_triangle_free(expanded)
         alpha, _ = independence_number(expanded)
         if expanded.n != n or not free or alpha > s or expanded.edge_count != best:
-            raise AssertionError("extremal witness failed re-validation")
+            raise InternalConsistencyError("extremal witness failed re-validation")
     return ExtremalResult(n, s, k, formula, best, tuple(specs))

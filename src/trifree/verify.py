@@ -79,7 +79,7 @@ def _templates() -> list[tuple[str, Graph]]:
     return out
 
 
-def _every_copy(pattern: Graph, assertion) -> tuple[bool, Optional[dict], dict]:
+def _every_copy(pattern: Graph, assertion) -> tuple[Optional[dict], dict]:
     """Apply `assertion(host, copy)` to each `induced_copies` copy in each template.
 
     The first failure is returned with its member name; the details count
@@ -92,8 +92,8 @@ def _every_copy(pattern: Graph, assertion) -> tuple[bool, Optional[dict], dict]:
             bad = assertion(host, emb)
             if bad is not None:
                 bad["member"] = name
-                return False, bad, {"copies": copies}
-    return True, None, {"copies": copies}
+                return bad, {"copies": copies}
+    return None, {"copies": copies}
 
 
 # -- individual checks ----------------------------------------------------
@@ -111,12 +111,12 @@ def _check_c310():
                 if isomorphic(induced_subgraph(g00, keep), g11) is not None:
                     pairs.append([q, z])
         if not pairs:
-            return False, _fail(g00, i=i, reason="no deletion pair reproduces the reduced member"), {}
+            return _fail(g00, i=i, reason="no deletion pair reproduces the reduced member"), {}
         for q, z in pairs:
             if g00.has_edge(q, z):
-                return False, _fail(g00, i=i, pair=[q, z], reason="deletion pair is an edge"), {}
+                return _fail(g00, i=i, pair=[q, z], reason="deletion pair is an edge"), {}
         all_pairs[str(i)] = pairs
-    return True, None, {"pairs": all_pairs}
+    return None, {"pairs": all_pairs}
 
 
 def _check_degree_table():
@@ -128,8 +128,8 @@ def _check_degree_table():
             spots[pos] = i + 2
         for pos, expected in spots.items():
             if g.degree(pos) != expected:
-                return False, _fail(g, i=i, vertex=pos, degree=g.degree(pos), expected=expected)
-    return True, None
+                return _fail(g, i=i, vertex=pos, degree=g.degree(pos), expected=expected), {}
+    return None, {}
 
 
 def _check_edge_identity():
@@ -138,8 +138,8 @@ def _check_edge_identity():
         diff = vega(i, 0, 0)[0].edge_count - vega(i, 1, 1)[0].edge_count
         values[i] = diff
         if diff != i + 6:
-            return False, _fail(vega(i, 0, 0)[0], i=i, difference=diff, expected=i + 6)
-    return True, None, {"differences": values}
+            return _fail(vega(i, 0, 0)[0], i=i, difference=diff, expected=i + 6), {}
+    return None, {"differences": values}
 
 
 def _check_cube_lemma():
@@ -211,10 +211,10 @@ def _check_indep_classification():
                 g, lab = vega(i, mu, nu)
                 for mask in _independent_masks(g):
                     if not _classify_independent(g, lab, mask):
-                        return False, _fail(
+                        return _fail(
                             g, i=i, mu=mu, nu=nu, independent_set=list(_bits(mask))
-                        )
-    return True, None
+                        ), {}
+    return None, {}
 
 
 def _check_no_small_neighborhood():
@@ -226,9 +226,9 @@ def _check_no_small_neighborhood():
                 base, lab = vega(i, mu, nu)
                 for t in range(base.n):
                     if _small_set(lab, base.adj[t]):
-                        return False, _fail(base, i=i, mu=mu, nu=nu, vertex=t,
-                                            trace=list(_bits(base.adj[t])))
-    return True, None
+                        return _fail(base, i=i, mu=mu, nu=nu, vertex=t,
+                                     trace=list(_bits(base.adj[t]))), {}
+    return None, {}
 
 
 def _check_aux_embeddings():
@@ -239,13 +239,13 @@ def _check_aux_embeddings():
                 try:
                     paths = aux_paths(i, mu, nu)
                 except InternalConsistencyError as exc:
-                    return False, _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
-                                        reason=str(exc)), {}
+                    return _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
+                                 reason=str(exc)), {}
                 if not paths:
-                    return False, _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
-                                        reason="no auxiliary paths"), {}
+                    return _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
+                                 reason="no auxiliary paths"), {}
                 counts[f"{i},{mu},{nu}"] = len(paths)
-    return True, None, {"path_counts": counts}
+    return None, {"path_counts": counts}
 
 
 def _check_automorphisms():
@@ -259,17 +259,17 @@ def _check_automorphisms():
         total = automorphism_order(g)
         orders[f"{i},{mu},{nu}"] = total
         if total != want:
-            return False, _fail(g, i=i, mu=mu, nu=nu, order=total, expected=want), {}
+            return _fail(g, i=i, mu=mu, nu=nu, order=total, expected=want), {}
         maps = named_maps(i, mu, nu)
         generators = [m.perm for m in maps if m.source == m.target]
         generated = len(_closure([tuple(range(g.n))], lambda cur: [
             tuple(gen[v] for v in cur) for gen in generators]))
         if generated != want:
-            return False, _fail(
+            return _fail(
                 g, i=i, mu=mu, nu=nu, generated=generated, expected=want,
                 reason="named maps do not generate the full group",
             ), {}
-    return True, None, {"orders": orders}
+    return None, {"orders": orders}
 
 
 def _check_cayley_d2():
@@ -277,13 +277,13 @@ def _check_cayley_d2():
         g = cayley_6k(k)
         verdict = check_d(g, 2)
         if verdict.holds or verdict.level != 2:
-            return False, _fail(g, k=k, reason="level-2 violation expected")
+            return _fail(g, k=k, reason="level-2 violation expected"), {}
         if not validate_d_witness(g, 2, verdict.witness):
-            return False, _fail(g, k=k, witness=list(verdict.witness),
-                                reason="witness failed re-validation")
+            return _fail(g, k=k, witness=list(verdict.witness),
+                         reason="witness failed re-validation"), {}
         if find_induced(g, _C6) is None:
-            return False, _fail(g, k=k, reason="no induced hexagon located")
-    return True, None
+            return _fail(g, k=k, reason="no induced hexagon located"), {}
+    return None, {}
 
 
 def _check_kappa_blowup():
@@ -292,21 +292,21 @@ def _check_kappa_blowup():
     kappa = 9 * 2 - (6 + 1 + 1)
     alpha, _ = independence_number(host)
     if host.n != 3 * kappa - 1 or alpha != kappa:
-        return False, _fail(host, order=host.n, alpha=alpha, kappa=kappa)
+        return _fail(host, order=host.n, alpha=alpha, kappa=kappa), {}
     if not is_maximal_triangle_free(host).holds:
-        return False, _fail(host, reason="expansion is not maximal triangle-free")
-    return True, None
+        return _fail(host, reason="expansion is not maximal triangle-free"), {}
+    return None, {}
 
 
 def _check_hexagon_prop():
     for n in range(2, 11):
-        for row in census(n, strict=False):
+        for row in census(n):
             hexagon_free = not row.induced_c6
             is_circulant_family = isinstance(row.recognized, AndrasfaiId)
             if hexagon_free != is_circulant_family:
-                return False, _fail(row.graph, n=n, hexagon_free=hexagon_free,
-                                    recognized_circulant=is_circulant_family)
-    return True, None
+                return _fail(row.graph, n=n, hexagon_free=hexagon_free,
+                             recognized_circulant=is_circulant_family), {}
+    return None, {}
 
 
 _REGISTRY: dict[str, Callable] = {
@@ -331,17 +331,16 @@ def check_names() -> list[str]:
 
 
 def run_check(name: str) -> CheckReport:
-    """Run one registered check; unknown names raise KeyError."""
+    """Run one registered check; unknown names raise KeyError.  A check
+    returns (counterexample, details) and passes when it found none."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(_REGISTRY)}")
     started = time.perf_counter()
-    outcome = _REGISTRY[name]()
+    counterexample, details = _REGISTRY[name]()
     elapsed = time.perf_counter() - started
-    passed, counterexample = outcome[0], outcome[1]
-    details = outcome[2] if len(outcome) > 2 else {}
     return CheckReport(
         name=name,
-        passed=passed,
+        passed=counterexample is None,
         counterexample=counterexample,
         elapsed=elapsed,
         details=details,

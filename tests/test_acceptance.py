@@ -47,7 +47,7 @@ from trifree.properties import (
     validate_q_witness,
 )
 from trifree.recognition import D4_FAILS, RecognitionCertificate, certify, recognize
-from trifree.search import census, enumerate_maximal_tf, search_extremal
+from trifree.search import census, check_census_row, enumerate_maximal_tf, search_extremal
 from trifree.verify import check_names, run_all
 
 
@@ -150,7 +150,8 @@ def test_criterion_3_haggkvist_expansion():
 def test_criterion_4_census():
     with criterion(4, "exhaustive census, n <= 10", budget=None):
         for n in range(2, 11):
-            for row in census(n, strict=True):
+            for row in census(n):
+                assert check_census_row(row) is None
                 assert row.d4 == (row.recognized is not None)
                 assert row.q4 == row.d4
                 andrasfai_cert = row.recognized is not None and not isinstance(
@@ -163,7 +164,8 @@ def test_criterion_4_census():
 
 def test_criterion_4_census_n11():
     with criterion(4, "optional census extension, n = 11", budget=None):
-        for row in census(11, strict=True, allow_large=True):
+        for row in census(11, allow_large=True):
+            assert check_census_row(row) is None
             assert row.d4 == (row.recognized is not None)
             assert row.q4 == row.d4
 

@@ -281,13 +281,23 @@ def test_exit_codes():
     assert huge.returncode == 3 and "Traceback" not in huge.stderr
     triangle = "p tf 3\ne 0 1\ne 0 2\ne 1 2\n"
     assert run_cli(["check", "--tf"], stdin=triangle).returncode == 1
+    # one integer parser for options and weights: ASCII digits only, as in elist
+    for command in (["census", "--n", "1_0"], ["gen", "andrasfai", "--k", "\u0663"],
+                    ["extremal", "--n", "10", "--s", " 5"]):
+        refused = run_cli(command)
+        assert refused.returncode == 2 and refused.stdout == ""
+        assert "invalid integer value" in refused.stderr
+    for weights in ("1,a", "\u0661,2", "1_0,2"):
+        refused = run_cli(["gen", "blowup", "--weights", weights], stdin="p tf 2\ne 0 1\n")
+        assert refused.returncode == 3 and refused.stdout == ""
+        assert "Traceback" not in refused.stderr
 
 
 def test_failing_registry_check_exits_one(monkeypatch):
     import trifree.verify as verify_module
 
     monkeypatch.setitem(verify_module._REGISTRY, "automorphisms",
-                        lambda: (False, {"reason": "forced"}))
+                        lambda: ({"reason": "forced"}, {}))
     assert main(["paper-verify", "--check", "automorphisms", "--out", "/dev/null"]) == 1
 
 

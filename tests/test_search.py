@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -14,11 +15,12 @@ from conftest import (
     nx_independence_number,
 )
 
-from trifree.families import AndrasfaiId, VegaId, andrasfai
+from trifree.families import AndrasfaiId, VegaId, andrasfai, vega
 from trifree.formats import write_graph6
 from trifree.graph import (
     BlowupSpec,
     Graph,
+    InternalConsistencyError,
     _independent_masks,
     automorphism_order,
     blowup,
@@ -31,7 +33,6 @@ from trifree.graph import (
 from trifree.properties import _coverage_search, is_maximal_triangle_free, is_triangle_free
 import trifree.search as search_module
 from trifree.search import (
-    CensusRow,
     ResourceGuardError,
     _attach,
     _is_grandparent,
@@ -261,10 +262,10 @@ def test_enumeration_guard():
 
 
 def test_census_rows_and_invariants():
-    rows = census(8, strict=True)
+    rows = census(8)
     assert len(rows) == GOLDEN_COUNTS[8]
     for row in rows:
-        assert row.order == 8
+        assert row.graph.n == 8
         assert check_census_row(row) is None
         # covering levels are monotone by construction
         assert (not row.d3 or row.d2) and (not row.d4 or row.d3)
@@ -294,7 +295,7 @@ def _levels_alone(n: int) -> dict:
     every census row of order n, decided on the twin quotient by the library
     search and by the knapsack reference, which must give the same witness."""
     levels = {}
-    for row in census(n, strict=False, allow_large=True):
+    for row in census(n, allow_large=True):
         _, q = quotient(row.graph)
         holding = []
         for m in range(1, 5):
@@ -345,8 +346,6 @@ def test_census_row_of_pentagon():
 
 
 def test_census_row_classifies_eleven_vertex_member():
-    from trifree.families import vega
-
     row = census_row(vega(2, 1, 1)[0])
     assert row.d4 and row.q4
     assert row.recognized == VegaId(2, 1, 1)
@@ -357,7 +356,7 @@ def test_census_row_takes_no_quotient_beyond_recognition(monkeypatch):
     import trifree.graph as graph_module
     import trifree.properties as properties_module
     import trifree.recognition as recognition_module
-    from trifree.families import fig41, vega
+    from trifree.families import fig41
 
     calls = 0
     searches = 0
@@ -397,14 +396,23 @@ def test_census_row_takes_no_quotient_beyond_recognition(monkeypatch):
 
 
 def test_check_census_row_flags_doctored_rows():
-    genuine = census_row(andrasfai(2))
-    doctored = CensusRow(
-        graph=genuine.graph, order=genuine.order, d2=genuine.d2, d3=genuine.d3,
-        d4=True, q4=genuine.q4, recognized=None,
-        induced_c6=genuine.induced_c6, contains_upsilon=genuine.contains_upsilon,
-    )
-    violation = check_census_row(doctored)
-    assert violation is not None and "recognized" in violation.invariant
+    circulant = census_row(andrasfai(2))
+    hexagon = census_row(vega(2, 1, 1)[0])
+    assert check_census_row(circulant) is None and check_census_row(hexagon) is None
+    # each doctored row breaks one invariant, named by the text the report carries
+    cases = [
+        (replace(circulant, d4=False), "level-4 covering iff recognized as a blow-up"),
+        (replace(circulant, recognized=None), "level-4 covering iff recognized as a blow-up"),
+        (replace(circulant, q4=False), "certificate variant agrees with plain covering"),
+        (replace(hexagon, induced_c6=False),
+         "hexagon-free iff recognized over the circulant family"),
+        (replace(circulant, induced_c6=True),
+         "hexagon-free iff recognized over the circulant family"),
+        (replace(hexagon, contains_upsilon=False),
+         "level-3 covering with an induced hexagon must contain the 11-vertex pattern"),
+    ]
+    for row, invariant in cases:
+        assert check_census_row(row) == invariant
 
 
 def test_census_guard_holds_after_an_allowed_run(monkeypatch):
@@ -442,6 +450,14 @@ def test_extremal_search_attains_formula_and_revalidates():
         assert is_triangle_free(expanded)[0]
         assert nx_independence_number(expanded) <= 5
         assert expanded.edge_count == 25
+
+
+def test_extremal_witness_failing_its_recheck_raises(monkeypatch):
+    genuine = search_module.independence_number
+    monkeypatch.setattr(search_module, "independence_number",
+                        lambda g: (5 + 1, genuine(g)[1]))
+    with pytest.raises(InternalConsistencyError, match="extremal witness failed re-validation"):
+        search_extremal(10, 5)
 
 
 def test_extremal_balanced_pentagon_blowup():

@@ -160,7 +160,7 @@ def test_kappa_and_cayley_checks():
 
 
 def _census_rows_with(pattern, orders):
-    return [row for n in orders for row in census(n, strict=False, allow_large=True)
+    return [row for n in orders for row in census(n, allow_large=True)
             if next(induced_copies(row.graph, pattern), None) is not None]
 
 

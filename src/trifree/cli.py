@@ -6,7 +6,8 @@ codes: 0 success / property holds, 1 property fails or a counterexample was
 found (the report still carries the details), 2 usage errors, 3 malformed
 input, violated preconditions, or an input too large for a recursive search
 (one that reaches Python's recursion limit, such as ``check --d`` on a long
-path).
+path), 4 an internal error (a result failed its own re-check, or a call
+inside trifree broke a contract): a bug, not a fault of the input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .families import (
     vega,
 )
 from .formats import graph_payload, integer, parse_graph, write_dot, write_graph, write_graph6
-from .graph import BlowupSpec, Graph, blowup
+from .graph import BlowupSpec, ContractViolation, Graph, InternalConsistencyError, blowup
 from .properties import (
     check_d,
     check_q,
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -395,6 +397,9 @@ def main(argv=None) -> int:
               f"({sys.getrecursionlimit()}); the input is too large for this check",
               file=sys.stderr)
         return EXIT_INPUT
+    except (InternalConsistencyError, ContractViolation) as exc:
+        print(f"trifree: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -13,7 +13,7 @@ Vertex numbering is fixed so that permutations and golden values are stable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .graph import (
     BlowupSpec,
@@ -37,6 +37,10 @@ class AndrasfaiId:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConstructionError(f"family index must be >= 1, got {self.k}")
+
+    @property
+    def order(self) -> int:
+        return 3 * self.k - 1
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,23 @@ def vega(i: int, mu: int, nu: int) -> tuple[Graph, VegaLabeling]:
     outer = from_edge_list(ident.order, edges).adj
     graph = Graph(ident.order, [row | inner[p] if p < base else row for p, row in enumerate(outer)])
     return graph, labeling
+
+
+def templates(max_order: int) -> list[Union[AndrasfaiId, VegaId]]:
+    """Every template id of order at most max_order, Andrásfai by k, then
+    Vega by (i, mu, nu): the one list that recognition, the extremal search
+    and the lemma registry select from."""
+    vegas = (VegaId(i, mu, nu) for i in range(2, (max_order - 5) // 3 + 1)
+             for mu in (0, 1) for nu in (0, 1))
+    return ([AndrasfaiId(k) for k in range(1, (max_order + 1) // 3 + 1)]
+            + [ident for ident in vegas if ident.order <= max_order])
+
+
+def template(ident: Union[AndrasfaiId, VegaId]) -> Graph:
+    """The template graph an id names, without its labeling."""
+    if isinstance(ident, AndrasfaiId):
+        return andrasfai(ident.k)
+    return vega(ident.i, ident.mu, ident.nu)[0]
 
 
 def cube() -> Graph:

@@ -439,7 +439,7 @@ def isomorphic(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
     inv_h = _inverse(ph)
     perm = tuple(inv_h[img] for img in pg)
     if relabel(g, perm) != h:
-        raise ContractViolation("canonical forms matched but permutation failed re-check")
+        raise InternalConsistencyError("canonical forms matched but permutation failed re-check")
     return perm
 
 

@@ -2,14 +2,14 @@
 
 A maximal triangle-free graph is a blow-up of a twin-free template exactly
 when its twin quotient is isomorphic to that template, so recognition is:
-quotient, list the few templates of the quotient's order, and test
-isomorphism against each in turn.  The order alone picks the candidates,
-and at most one family can match: Andrásfai graphs are 3-colourable, while
-every Vega graph contains the 4-chromatic 11-vertex graph, so no quotient
-is isomorphic to templates of both families.  When no candidate matches, a
-level-4 covering witness must exist; if it does not, the input would
-contradict the characterization, which is reported as its own
-first-class outcome rather than an error.
+quotient, take the ids of the quotient's order from `families.templates`,
+and test isomorphism against each in turn.  The order alone picks the
+candidates, and at most one family can match: Andrásfai graphs are
+3-colourable, while every Vega graph contains the 4-chromatic 11-vertex
+graph, so no quotient is isomorphic to templates of both families.  When
+no candidate matches, a level-4 covering witness must exist; if it does
+not, the input would contradict the characterization, which is reported
+as its own first-class outcome rather than an error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .families import (
-    AndrasfaiId,
-    VegaId,
-    andrasfai,
-    vega,
-)
+from .families import AndrasfaiId, VegaId, template, templates
 from .graph import (
     BlowupSpec,
     Graph,
@@ -64,44 +59,25 @@ class Refutation:
     details: Optional[str] = None
 
 
-def template_graph(family: Union[AndrasfaiId, VegaId]) -> Graph:
-    if isinstance(family, AndrasfaiId):
-        return andrasfai(family.k)
-    return vega(family.i, family.mu, family.nu)[0]
-
-
-def _candidates(order: int):
-    """Template ids of the given order: the Andrásfai graph first, then Vega.
-
-    When order = 2 (mod 3) both families have members of that order; the
-    module docstring says why a quotient matches at most one of them.
-    """
-    out: list[Union[AndrasfaiId, VegaId]] = []
-    if order % 3 == 2:
-        out.append(AndrasfaiId((order + 1) // 3))
-    # order = 3i + 7 - (mu + nu) forces mu + nu mod 3, hence one i
-    for mu, nu in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        i, r = divmod(order - 7 + mu + nu, 3)
-        if not r and i >= 2:
-            out.append(VegaId(i, mu, nu))
-    return out
-
-
 def match_template(
     partition: TwinPartition, omega: Graph
 ) -> Optional[RecognitionCertificate]:
     """The certificate of the template isomorphic to omega, or None.
 
-    For (partition, omega) = quotient(g), a match makes g a blow-up of a
+    The candidates are the ids in `templates(omega.n)` of order omega.n;
+    the module docstring says why at most one family can match.  For
+    (partition, omega) = quotient(g), a match makes g a blow-up of a
     maximal triangle-free, twin-free template without isolated vertices,
     hence maximal triangle-free, and `recognize(g)` returns this certificate.
     """
-    for family in _candidates(omega.n):
-        template = template_graph(family)
-        perm = isomorphic(omega, template)
+    for family in templates(omega.n):
+        if family.order != omega.n:
+            continue
+        base = template(family)
+        perm = isomorphic(omega, base)
         if perm is None:
             continue
-        weights = [0] * template.n
+        weights = [0] * base.n
         for cls_index, members in enumerate(partition.classes):
             weights[perm[cls_index]] = len(members)
         return RecognitionCertificate(family, perm, tuple(weights))
@@ -143,9 +119,9 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
 
 def certify(g: Graph, certificate: RecognitionCertificate) -> bool:
     """Independently re-validate a certificate using core primitives only."""
-    template = template_graph(certificate.family)
+    base = template(certificate.family)
     weights = certificate.weights
-    if len(weights) != template.n or any(w < 1 for w in weights) or sum(weights) != g.n:
+    if len(weights) != base.n or any(w < 1 for w in weights) or sum(weights) != g.n:
         return False
-    expanded = blowup(BlowupSpec(template, weights))
+    expanded = blowup(BlowupSpec(base, weights))
     return isomorphic(g, expanded) is not None

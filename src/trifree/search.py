@@ -36,9 +36,9 @@ keep every canonical G - v, and its canonical deletion:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
-from .families import AndrasfaiId, VegaId, _extremal, andrasfai, mycielski_grotzsch, vega
+from .families import AndrasfaiId, _extremal, mycielski_grotzsch, template, templates
 from .graph import (
     BlowupSpec,
     Graph,
@@ -59,6 +59,9 @@ from .graph import (
 )
 from .properties import _check_d, _check_q, _simplex, independence_number, is_triangle_free
 from .recognition import match_template
+
+if TYPE_CHECKING:
+    from .families import VegaId
 
 ENUMERATION_GUARD = 12
 EXTREMAL_MAX_ORDER = 30
@@ -433,8 +436,8 @@ def _maximal_independent_sets(g: Graph) -> list[int]:
 def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> ExtremalResult:
     """Best edge count over template blow-ups with order n and independence <= s.
 
-    Templates: the circulant family at the formula index and its neighbours,
-    plus every named hexagon-family member fitting the order.  All are
+    Templates: the ids of `templates(n)`, keeping an Andrásfai id only at
+    the formula index k or next to it, and every Vega id.  All are
     triangle-free, which the walk's edge bound needs: each neighbourhood is
     independent, so 2E = ns - sum_v w_v * (s - W(N(v))) with every term >= 0
     (see `_template_optimum`).  Each template is walked with the best value
@@ -450,22 +453,14 @@ def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> Extr
     k, formula = _extremal(n, s)  # validates (n, s) before the cap
     if n > max_order:
         raise ResourceGuardError(f"extremal search capped at order {max_order}")
-    templates: list[Graph] = []
-    for j in (k - 1, k, k + 1):
-        if j >= 1 and 3 * j - 1 <= n:
-            templates.append(andrasfai(j))
-    i = 2
-    while 3 * i + 5 <= n:
-        for mu in (0, 1):
-            for nu in (0, 1):
-                if VegaId(i, mu, nu).order <= n:
-                    templates.append(vega(i, mu, nu)[0])
-        i += 1
     best = -1
     specs: list[BlowupSpec] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for template in templates:
-        value, weightings = _template_optimum(template, n, s, best)
+    for ident in templates(n):
+        if isinstance(ident, AndrasfaiId) and abs(ident.k - k) > 1:
+            continue
+        base = template(ident)
+        value, weightings = _template_optimum(base, n, s, best)
         if value < best:
             continue
         if value > best:
@@ -473,7 +468,7 @@ def search_extremal(n: int, s: int, max_order: int = EXTREMAL_MAX_ORDER) -> Extr
             specs = []
             seen = set()
         for w in weightings:
-            spec = BlowupSpec(template, w)
+            spec = BlowupSpec(base, w)
             canon, _ = canonical_form(blowup(spec))
             if canon.adj not in seen:
                 seen.add(canon.adj)

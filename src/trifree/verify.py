@@ -19,8 +19,6 @@ from typing import Callable, Optional
 
 from .families import (
     AndrasfaiId,
-    InternalConsistencyError,
-    andrasfai,
     aux_paths,
     cayley_6k,
     cube,
@@ -28,11 +26,14 @@ from .families import (
     haggkvist_spec,
     mycielski_grotzsch,
     named_maps,
+    template,
+    templates,
     vega,
 )
 from .formats import graph_payload
 from .graph import (
     Graph,
+    InternalConsistencyError,
     _bits,
     _closure,
     _independent_masks,
@@ -71,12 +72,13 @@ def _fail(graph: Graph, **context) -> dict:
 
 
 def _templates() -> list[tuple[str, Graph]]:
-    out = [(f"circulant k={k}", andrasfai(k)) for k in range(1, 7)]
-    for i in (2, 3, 4):
-        for mu in (0, 1):
-            for nu in (0, 1):
-                out.append((f"hexagon i={i} mu={mu} nu={nu}", vega(i, mu, nu)[0]))
-    return out
+    """Every template of `templates(19)`, built once and named: the
+    circulants k=1..6, then the hexagon members i=2..4."""
+    return [
+        (f"circulant k={t.k}" if isinstance(t, AndrasfaiId)
+         else f"hexagon i={t.i} mu={t.mu} nu={t.nu}", template(t))
+        for t in templates(19)
+    ]
 
 
 def _every_copy(pattern: Graph, assertion) -> tuple[Optional[dict], dict]:
@@ -205,46 +207,45 @@ def _classify_independent(g: Graph, lab, mask: int) -> bool:
 
 
 def _check_indep_classification():
-    for i in range(2, 5):
-        for mu in (0, 1):
-            for nu in (0, 1):
-                g, lab = vega(i, mu, nu)
-                for mask in _independent_masks(g):
-                    if not _classify_independent(g, lab, mask):
-                        return _fail(
-                            g, i=i, mu=mu, nu=nu, independent_set=list(_bits(mask))
-                        ), {}
+    for t in templates(19):
+        if isinstance(t, AndrasfaiId):
+            continue
+        g, lab = vega(t.i, t.mu, t.nu)
+        for mask in _independent_masks(g):
+            if not _classify_independent(g, lab, mask):
+                return _fail(
+                    g, i=t.i, mu=t.mu, nu=t.nu, independent_set=list(_bits(mask))
+                ), {}
     return None, {}
 
 
 def _check_no_small_neighborhood():
     # a blow-up vertex has its class representative's row, so the traces a
     # blow-up shows on the template are the template's own rows
-    for i in range(2, 5):
-        for mu in (0, 1):
-            for nu in (0, 1):
-                base, lab = vega(i, mu, nu)
-                for t in range(base.n):
-                    if _small_set(lab, base.adj[t]):
-                        return _fail(base, i=i, mu=mu, nu=nu, vertex=t,
-                                     trace=list(_bits(base.adj[t]))), {}
+    for t in templates(19):
+        if isinstance(t, AndrasfaiId):
+            continue
+        base, lab = vega(t.i, t.mu, t.nu)
+        for v in range(base.n):
+            if _small_set(lab, base.adj[v]):
+                return _fail(base, i=t.i, mu=t.mu, nu=t.nu, vertex=v,
+                             trace=list(_bits(base.adj[v]))), {}
     return None, {}
 
 
 def _check_aux_embeddings():
     counts = {}
-    for i in range(2, 6):
-        for mu in (0, 1):
-            for nu in (0, 1):
-                try:
-                    paths = aux_paths(i, mu, nu)
-                except InternalConsistencyError as exc:
-                    return _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
-                                 reason=str(exc)), {}
-                if not paths:
-                    return _fail(vega(i, mu, nu)[0], i=i, mu=mu, nu=nu,
-                                 reason="no auxiliary paths"), {}
-                counts[f"{i},{mu},{nu}"] = len(paths)
+    for t in templates(22):
+        if isinstance(t, AndrasfaiId):
+            continue
+        try:
+            paths = aux_paths(t.i, t.mu, t.nu)
+        except InternalConsistencyError as exc:
+            return _fail(template(t), i=t.i, mu=t.mu, nu=t.nu, reason=str(exc)), {}
+        if not paths:
+            return _fail(template(t), i=t.i, mu=t.mu, nu=t.nu,
+                         reason="no auxiliary paths"), {}
+        counts[f"{t.i},{t.mu},{t.nu}"] = len(paths)
     return None, {"path_counts": counts}
 
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
 
 from trifree import __version__
-from trifree.cli import build_parser, main
+from trifree.cli import EXIT_INTERNAL, build_parser, main
 from trifree.families import andrasfai, cayley_6k, fig41, vega
 from trifree.formats import (
     FormatError,
@@ -299,6 +299,17 @@ def test_failing_registry_check_exits_one(monkeypatch):
     monkeypatch.setitem(verify_module._REGISTRY, "automorphisms",
                         lambda: ({"reason": "forced"}, {}))
     assert main(["paper-verify", "--check", "automorphisms", "--out", "/dev/null"]) == 1
+
+
+def test_internal_error_exits_four_without_a_traceback(monkeypatch, capsys):
+    import trifree.search as search_module
+
+    # every witness now fails its independence re-check
+    monkeypatch.setattr(search_module, "independence_number", lambda g: (99, []))
+    code = main(["extremal", "--n", "10", "--s", "5", "--search", "--out", "/dev/null"])
+    assert code == EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "trifree: internal error: extremal witness failed re-validation\n"
 
 
 def test_deep_recursion_exits_as_input_error():

@@ -23,6 +23,8 @@ from trifree.families import (
     mycielski_grotzsch,
     named_map,
     named_maps,
+    template,
+    templates,
     vega,
 )
 from trifree.graph import (
@@ -161,6 +163,24 @@ def test_named_map_availability():
         named_map(3, 0, 0, "rho")  # exceptional map only at i=2
     with pytest.raises(UnavailableMapError):
         named_map(3, 0, 0, "zeta")
+
+
+def test_template_graph_inverts_ids():
+    assert template(AndrasfaiId(3)).n == 8
+    assert template(VegaId(3, 1, 0)).n == 15
+
+
+def test_templates_list_every_id_up_to_the_order():
+    # brute force: Andrásfai k has 3k - 1 vertices, Vega (i, mu, nu) has
+    # 3i + 7 - mu - nu, and i = 70 is past every order below
+    andrasfai_ids = [AndrasfaiId(k) for k in range(1, 80)]
+    vega_ids = [VegaId(i, mu, nu) for i in range(2, 70) for mu in (0, 1) for nu in (0, 1)]
+    for n in range(-1, 201):
+        expected = ([t for t in andrasfai_ids if 3 * t.k - 1 <= n]
+                    + [t for t in vega_ids if 3 * t.i + 7 - t.mu - t.nu <= n])
+        assert templates(n) == expected, n
+    for t in templates(40):
+        assert template(t).n == t.order
 
 
 def test_a_label_map_that_is_not_a_bijection_is_refused():

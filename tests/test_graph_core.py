@@ -23,6 +23,7 @@ from trifree.graph import (
     ConstructionError,
     ContractViolation,
     Graph,
+    InternalConsistencyError,
     automorphism_order,
     blowup,
     canonical_form,
@@ -130,6 +131,17 @@ def test_isomorphic_equivalence_and_canonical_form():
         h = relabel(g, tuple(shuffled))
         assert isomorphic(g, h) is not None and isomorphic(h, g) is not None
         assert canonical_form(g)[0].adj == canonical_form(h)[0].adj
+
+
+def test_isomorphic_permutation_failing_its_recheck_is_internal(monkeypatch):
+    import trifree.graph as graph_module
+
+    # C6 and two triangles share a degree sequence; give both one canonical
+    # form and identity permutations, so the identity fails the re-check
+    g, h = cycle(6), from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    monkeypatch.setattr(graph_module, "canonical_form", lambda x: (cycle(6), tuple(range(6))))
+    with pytest.raises(InternalConsistencyError, match="failed re-check"):
+        isomorphic(g, h)
 
 
 def test_isomorphic_permutations_are_exact():

@@ -18,7 +18,6 @@ from trifree.recognition import (
     Refutation,
     certify,
     recognize,
-    template_graph,
 )
 from trifree.search import enumerate_maximal_tf
 
@@ -68,13 +67,22 @@ def test_haggkvist_graph_is_certified():
 
 
 def test_unit_weights_recognize_templates_themselves():
-    for k in range(1, 7):
+    # every template of order <= 40, listed by brute force
+    for k in range(1, 14):
         outcome = recognize(andrasfai(k))
         assert outcome.family == AndrasfaiId(k)
         assert all(w == 1 for w in outcome.weights)
-    for i in (2, 3, 4):
-        outcome = recognize(vega(i, 0, 0)[0])
-        assert outcome.family == VegaId(i, 0, 0)
+    idents = [VegaId(i, mu, nu) for i in range(2, 14) for mu in (0, 1) for nu in (0, 1)]
+    for ident in idents:
+        if ident.order > 40:
+            continue
+        outcome = recognize(vega(ident.i, ident.mu, ident.nu)[0])
+        if ident.i == 2:
+            # the exceptional map makes the two mixed members one graph
+            assert outcome.family in (ident, VegaId(2, ident.nu, ident.mu))
+        else:
+            assert outcome.family == ident
+        assert all(w == 1 for w in outcome.weights)
 
 
 def test_recognition_runs_no_pattern_search(monkeypatch):
@@ -98,11 +106,6 @@ def test_recognition_runs_no_pattern_search(monkeypatch):
         assert isinstance(outcome, RecognitionCertificate)
         assert outcome.family == family
     assert calls == []
-
-
-def test_template_graph_inverts_ids():
-    assert template_graph(AndrasfaiId(3)).n == 8
-    assert template_graph(VegaId(3, 1, 0)).n == 15
 
 
 def test_refutation_not_triangle_free():

@@ -63,6 +63,23 @@ def test_no_small_neighborhood_checks_each_member_row(monkeypatch):
     assert mutant.counterexample["i"] == 2 and mutant.counterexample["vertex"] == 0
 
 
+def test_indep_classification_failure_names_the_member_and_set(monkeypatch):
+    monkeypatch.setattr(verify_module, "_classify_independent", lambda g, lab, mask: False)
+    report = run_check("indep_classification")
+    assert not report.passed
+    counterexample = report.counterexample
+    assert (counterexample["i"], counterexample["mu"], counterexample["nu"]) == (2, 0, 0)
+    assert counterexample["independent_set"] == [0, 1, 6, 9]
+
+
+def test_beautiful_failure_names_the_first_member_with_a_copy(monkeypatch):
+    # the circulants are 3-colourable, so the first copy lies in a hexagon member
+    monkeypatch.setattr(verify_module, "_beautiful_assert", lambda host, emb: {"forced": True})
+    report = run_check("beautiful")
+    assert not report.passed and report.details == {"copies": 1}
+    assert report.counterexample == {"forced": True, "member": "hexagon i=2 mu=0 nu=0"}
+
+
 def test_registry_takes_no_knobs():
     for name, check in _REGISTRY.items():
         assert not inspect.signature(check).parameters, name

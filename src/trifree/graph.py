@@ -124,9 +124,19 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
     Rejects an order outside 1..MAX_VERTICES before allocating, then
     out-of-range endpoints, loops, and duplicate pairs (in either
-    orientation), naming the offending pair.
+    orientation), naming the first offending pair.  Repeats are found by
+    the bit count, short of 2 * len(edges); any failure rescans the list.
     """
     check_order(n)
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            break
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    else:
+        if sum(row.bit_count() for row in rows) == 2 * len(edges):
+            return Graph(n, rows)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -137,7 +147,7 @@ def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
             raise ConstructionError(f"duplicate edge ({u}, {v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    raise InternalConsistencyError("an edge list failed its bit count with no bad pair")
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -211,46 +221,39 @@ def _independent_masks(g: Graph, most: int = MAX_VERTICES) -> Iterator[int]:
             stack.append((v + 1, mask | 1 << v, room - 1))
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
+def _refine(rows: Sequence[int], cells: list[list[int]],
+            fresh: Optional[list[int]] = None) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
-    Cells split by the multiset of neighbour counts into every current cell;
-    sub-cells are ordered by their signature, so refinement is deterministic
-    and isomorphism-equivariant.
+    Cells split by their neighbour counts into the masks ``fresh`` (every
+    cell when None), then into the cells the pass before created; sub-cells
+    are ordered by that signature, so refinement is deterministic and
+    isomorphism-equivariant.  A pass counted into each older cell M, and
+    cells only split since, so M's count is constant on each cell and would
+    change neither the groups nor their order (for ``fresh``, the caller
+    guarantees this; see `_canonical_search`).
     """
+    masks = [_mask_of(c) for c in cells] if fresh is None else fresh
     while True:
-        masks = [_mask_of(c) for c in cells]
         out: list[list[int]] = []
-        changed = False
+        created: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig = tuple((rows[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+                row = rows[v]
+                groups.setdefault(tuple((row & m).bit_count() for m in masks), []).append(v)
             if len(groups) == 1:
                 out.append(cell)
             else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-        if not changed:
+                split = [groups[sig] for sig in sorted(groups)]
+                out += split
+                created += split
+        if not created:
             return out
-        cells = out
-
-
-def _leaf_key(rows: Sequence[int], n: int, position: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency matrix of the relabeled graph, one int per row, row-major bits."""
-    inv = _inverse(position)
-    key = []
-    for p in range(n):
-        bits = 0
-        for u in _bits(rows[inv[p]]):
-            bits |= 1 << (n - 1 - position[u])
-        key.append(bits)
-    return tuple(key)
+        cells, masks = out, [_mask_of(c) for c in created]
 
 
 def _closure(seeds: Iterable, step: Callable[..., Iterable]) -> set:
@@ -280,7 +283,9 @@ def _canonical_search(
     way, first path).  The first path is the sequence of vertices
     individualized on the way to the first leaf.  Only color-preserving
     relabelings are considered; cells never cross color boundaries, so the
-    color of every canonical position is fixed.
+    color of every canonical position is fixed.  A child's first refinement
+    counts only into [v]: the parent is equitable, and a count into the rest
+    of v's cell is a constant minus the count into [v], which precedes it.
     """
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -291,13 +296,16 @@ def _canonical_search(
     first: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     first_path: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
+    nbrs = [tuple(_bits(row)) for row in rows]
 
     def record_leaf(cells: list[list[int]], prefix: list[int]) -> None:
         nonlocal best, first, first_path
         position = [0] * n
         for pos, cell in enumerate(cells):
             position[cell[0]] = pos
-        key = _leaf_key(rows, n, position)
+        # the relabeled adjacency matrix, one int per row, row-major bits
+        bit = [1 << (n - 1 - p) for p in position]
+        key = tuple(sum(map(bit.__getitem__, nbrs[v])) for v in _inverse(position))
         for ref in (first, best):
             if ref is not None and ref[0] == key and ref[1] != tuple(position):
                 ref_inv = _inverse(ref[1])
@@ -321,7 +329,7 @@ def _canonical_search(
             if v in done:
                 continue
             child = cells[:target] + [[v]] + [[u for u in cell if u != v]] + cells[target + 1 :]
-            descend(_refine(rows, child), prefix + [v])
+            descend(_refine(rows, child, [1 << v]), prefix + [v])
             # Close the tried set under automorphisms fixing the prefix:
             # branching on an orbit-mate explores an identical subtree.
             fixing = [a for a in autos if all(a[p] == p for p in prefix)]

@@ -105,10 +105,11 @@ def _maximality(g: Graph, q: Graph) -> MaximalityResult:
 
 
 def weighted_coverage(g: Graph, weights: tuple[int, ...]) -> tuple[int, ...]:
-    """For each vertex, the total weight sitting on its neighbourhood."""
+    """For each vertex, the total weight on its neighbourhood, walked on the support."""
     if len(weights) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(weights)}")
-    return tuple(sum(weights[v] for v in _bits(g.adj[y])) for y in range(g.n))
+    support = sum(1 << v for v, w in enumerate(weights) if w)
+    return tuple(sum(map(weights.__getitem__, _bits(row & support))) for row in g.adj)
 
 
 # -- maximum-weight independent sets ------------------------------------
@@ -222,6 +223,11 @@ def _coverage_search(
     Each node gets the bitmask of order positions still open and visits the
     lowest: y's neighbours close once room[y] is 0, as each could only carry
     0 there, so the leaves and their order are those of the unskipped walk.
+    ``usable`` totals room[y] over the y whose last neighbour's position the
+    lowest open one has not passed; no open vertex can spend the rest.  At
+    least need - loose units go on open non-isolated vertices, each using up
+    room by its degree, at least the degree at the highest open position; a
+    node where that exceeds ``usable`` has no leaf and is cut.
     """
     n, adj = g.n, g.adj
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -230,8 +236,12 @@ def _coverage_search(
     caps = [m if adj[v] else free for v in range(n)]
     nbrs = [tuple(_bits(adj[v])) for v in range(n)]
     position = {v: i for i, v in enumerate(order)}
+    degree = [len(nbrs[v]) for v in order]  # by order position
     # near[y]: the order positions of y's neighbours, blocked once room[y] is 0
     near = [sum(1 << position[v] for v in nbrs[y]) for y in range(n)]
+    ending: list[list[int]] = [[] for _ in range(n)]  # by last neighbour's position
+    for y in filter(near.__getitem__, range(n)):
+        ending[near[y].bit_length() - 1].append(y)
     room = list(bounds)  # remaining coverage budget per vertex
     weights = [0] * n
     # cover[i]: neighbourhoods holding every non-isolated vertex of order[i:],
@@ -254,13 +264,18 @@ def _coverage_search(
             reach |= adj[chosen[-1]]
         cover[i] = tuple(chosen)
 
-    def dfs(open_: int, placed: int) -> bool:
+    def dfs(open_: int, placed: int, usable: int, passed: int) -> bool:
         if placed == target:
             return leaf_ok(weights)
         if not open_:
             return False
         idx = (open_ & -open_).bit_length() - 1
+        for p in range(passed, idx):
+            for y in ending[p]:
+                usable -= room[y]
         need = target - placed
+        if (need - loose[idx]) * degree[open_.bit_length() - 1] > usable:
+            return False
         if loose[idx] + sum(map(room.__getitem__, cover[idx])) < need:
             return False
         u = order[idx]
@@ -276,18 +291,20 @@ def _coverage_search(
         for val in range(top + 1):
             if val:
                 weights[u] = val
+                usable -= degree[idx]
                 for y in un:
                     room[y] -= 1
                     if not room[y]:
                         rest &= ~near[y]
-            if dfs(rest, placed + val):
+            if dfs(rest, placed + val, usable, idx):
                 return True
         for y in un:
             room[y] += top
         weights[u] = 0
         return False
 
-    return tuple(weights) if dfs((1 << n) - 1, 0) else None
+    usable = sum(room[y] for y in range(n) if adj[y])
+    return tuple(weights) if dfs((1 << n) - 1, 0, usable, 0) else None
 
 
 def _certificate_free(g: Graph, m: int, weights) -> bool:

@@ -406,6 +406,39 @@ def simplex_oracle(g: Graph, rows: list[int]):
     return None
 
 
+def refine_oracle(rows, cells):
+    """Equitable refinement of an ordered partition.
+
+    The reference for `graph._refine`, which counts only into the cells the
+    last pass created; this counts into every cell on every pass, and both
+    must give the same ordered partition.  Cells split by the multiset of
+    neighbour counts into every current cell; sub-cells are ordered by
+    their signature, so refinement is deterministic and
+    isomorphism-equivariant.
+    """
+    while True:
+        masks = [_mask_of(c) for c in cells]
+        out: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((rows[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    out.append(groups[sig])
+        if not changed:
+            return out
+        cells = out
+
+
 def relabel_oracle(g: Graph, perm) -> Graph:
     """g with vertex v renamed to perm[v], one vertex at a time.
 

@@ -11,6 +11,7 @@ from conftest import (
     induced_oracle,
     petersen,
     random_graph,
+    refine_oracle,
     relabel_oracle,
     to_nx,
     twin_property_oracle,
@@ -18,15 +19,18 @@ from conftest import (
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from trifree import families
+import trifree.graph as graph_module
 from trifree.graph import (
     BlowupSpec,
     ConstructionError,
     ContractViolation,
     Graph,
     InternalConsistencyError,
+    _refine,
     automorphism_order,
     blowup,
     canonical_form,
+    canonical_labeling,
     find_induced,
     find_induced_all,
     from_edge_list,
@@ -79,6 +83,12 @@ def test_construction_rejects_bad_edges():
         from_edge_list(3, [(2, 2), (0, 1), (1, 0)])
     with pytest.raises(ConstructionError, match=r"^edge \(-1, 0\) has an endpoint outside 0..2$"):
         from_edge_list(3, [(-1, 0), (0, 1), (0, 1)])
+    with pytest.raises(ConstructionError, match=r"^edge \(1, 3\) has an endpoint outside 0..2$"):
+        from_edge_list(3, [(0, 1), (1, 3)])
+    # a duplicate listed before a pair whose endpoint fails an index or a shift
+    for bad in ((3, 0), (0, -1), (-1, 0), (-4, 1)):
+        with pytest.raises(ConstructionError, match=r"^duplicate edge \(2, 1\)$"):
+            from_edge_list(3, [(1, 2), (2, 1), bad])
 
 
 def test_construction_names_a_reversed_duplicate_on_a_large_order():
@@ -170,6 +180,52 @@ def test_isomorphism_agrees_with_networkx():
         ours = isomorphic(g, h) is not None
         theirs = nx.is_isomorphic(to_nx(g), to_nx(h))
         assert ours == theirs
+
+
+def _random_cells(rng, n):
+    """A seeded random ordered partition of 0..n-1."""
+    verts = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [verts[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def test_refine_matches_counting_into_every_cell():
+    rng = random.Random(211)
+    graphs = [g for n in range(2, 10) for g in enumerate_maximal_tf(n)]
+    graphs += [g for _, g in _templates()]
+    graphs += [random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3, 0.6)))
+               for _ in range(150)]
+    children = 0
+    for g in graphs:
+        for cells in [[list(range(g.n))]] + [_random_cells(rng, g.n) for _ in range(3)]:
+            equitable = _refine(g.adj, cells)
+            assert equitable == refine_oracle(g.adj, cells)
+            # a child of an equitable partition, first counted into [v] alone
+            target = next((i for i, c in enumerate(equitable) if len(c) > 1), None)
+            if target is not None:
+                cell = equitable[target]
+                v = rng.choice(cell)
+                child = (equitable[:target] + [[v], [u for u in cell if u != v]]
+                         + equitable[target + 1:])
+                assert _refine(g.adj, child, [1 << v]) == refine_oracle(g.adj, child)
+                children += 1
+    assert children > 300
+
+
+def test_canonical_labeling_is_unchanged_under_the_refine_oracle(monkeypatch):
+    rng = random.Random(223)
+    graphs = [g for n in range(2, 11) for g in enumerate_maximal_tf(n)]
+    graphs += [families.template(t) for t in families.templates(40)]
+    # the inputs of the recognize benchmark: members, and blow-ups of templates
+    graphs += [families.andrasfai(20), families.andrasfai(24), families.cayley_6k(6),
+               families.cayley_6k(7)] + [families.vega(i, 0, 0)[0] for i in (8, 10, 12)]
+    for base in (families.vega(3, 0, 0)[0], families.vega(4, 1, 1)[0], families.andrasfai(5),
+                 families.andrasfai(7), families.fig41()):
+        graphs.append(blowup(BlowupSpec(base, tuple(rng.randint(1, 4) for _ in range(base.n)))))
+    fast = [canonical_labeling(g) for g in graphs]
+    monkeypatch.setattr(graph_module, "_refine",
+                        lambda rows, cells, fresh=None: refine_oracle(rows, cells))
+    assert [canonical_labeling(g) for g in graphs] == fast
 
 
 def test_find_induced_reports_real_copies():

@@ -116,6 +116,18 @@ def test_weighted_coverage():
     assert weighted_coverage(g, (3, 0, 0, 0, 0)) == (0, 3, 0, 0, 3)
 
 
+def test_weighted_coverage_matches_a_brute_force_sum():
+    rng = random.Random(227)
+    graphs = [random_graph(rng, rng.randint(1, 30), rng.choice((0.1, 0.5))) for _ in range(150)]
+    graphs += [blowup(BlowupSpec(cayley_6k(7), (7,) * 42)), andrasfai(60)]
+    for g in graphs:
+        for density in (0.05, 0.5, 1.0):  # sparse to dense weights
+            weights = tuple(rng.randint(1, 5) if rng.random() < density else 0
+                            for _ in range(g.n))
+            assert weighted_coverage(g, weights) == tuple(
+                sum(weights[v] for v in range(g.n) if g.has_edge(y, v)) for y in range(g.n))
+
+
 def test_max_weight_independent_set_against_networkx():
     rng = random.Random(101)
     for _ in range(100):
@@ -473,6 +485,12 @@ def test_simplex_is_skipped_when_uniform_weights_reach_three(monkeypatch):
     # delta <= n/3, so the all-ones certificate fails and the simplex runs
     assert check_d(vega(2, 0, 0)[0], 4).certificate is not None
     assert calls == 1
+
+
+def test_a_long_path_answers_below_the_recursion_limit():
+    # the coverage DFS adds no frame per level: P_900 is refuted at level 1
+    verdict = check_d(from_edge_list(900, [(v, v + 1) for v in range(899)]), 4)
+    assert not verdict.holds and verdict.level == 1
 
 
 def test_simplex_matches_the_full_tableau():

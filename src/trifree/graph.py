@@ -9,7 +9,9 @@ pure functions; nothing here mutates a graph after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 1024
@@ -494,46 +496,84 @@ def automorphism_order(g: Graph) -> int:
 # -- induced pattern search --------------------------------------------
 
 
-def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
-    """All induced embeddings of pattern in host, in deterministic order.
+def _fits(host: Graph, pattern: Graph, order: Sequence[int]) -> list[int]:
+    """Per placed pattern vertex, the host vertices with the degree bounds a copy needs."""
+    slack = host.n - pattern.n
+    fit = {d: sum(1 << v for v, row in enumerate(host.adj) if d <= row.bit_count() <= slack + d)
+           for d in {pattern.degree(p) for p in order}}
+    return [fit[pattern.degree(p)] for p in order]
 
-    Each embedding is the tuple of host images of the pattern vertices, and
-    no host vertex is used twice.  Pattern vertices are placed
-    highest-degree-first (ties by index) and host candidates scanned in
-    increasing order, so the stream is reproducible.
 
-    Forward checking (Ullmann, J. ACM 23, 1976) on an explicit stack: each
-    placement of v narrows every later pattern vertex's candidate mask to
-    v's neighbours or to its other non-neighbours, and is skipped if a mask
-    empties.  Masks start with the host vertices having at least as many
-    neighbours and non-neighbours as the pattern vertex, as a copy needs, so
-    only subtrees without a copy are cut: the stream is plain backtracking's.
-    A pattern larger than the host empties every mask of that filter.
-    """
-    k, n = pattern.n, host.n
-    order = sorted(range(k), key=lambda v: (-pattern.degree(v), v))
-    degrees = [row.bit_count() for row in host.adj]
-    masks = [sum(1 << v for v in range(n) if d <= degrees[v] <= n - k + d)
-             for d in (pattern.degree(p) for p in order)]
-    if 0 in masks:
-        return
-    non = [((1 << n) - 1) ^ row ^ 1 << v for v, row in enumerate(host.adj)]
-    links = [[pattern.has_edge(p, q) for q in order[i + 1 :]] for i, p in enumerate(order)]
-    assign = [0] * k
-    stack = [(0, masks[0], masks[1:])]
+def _walk(host: Graph, order, links, masks, floors) -> Iterator[tuple[int, ...]]:
+    """`find_induced_all`'s backtracking; placing order[t] at v puts steps t + 1 + floors[t] above v."""
+    non = [((1 << host.n) - 1) ^ row ^ 1 << v for v, row in enumerate(host.adj)]
+    assign, stack = [0] * len(order), [(0, masks[0], masks[1:])]
     while stack:
         step, cand, later = stack.pop()
         low = cand & -cand
         if cand ^ low:
             stack.append((step, cand ^ low, later))
         v = assign[order[step]] = low.bit_length() - 1
-        if step + 1 == k:
+        if not later:
             yield tuple(assign)
             continue
         near, far = host.adj[v], non[v]
         narrowed = [m & (near if linked else far) for m, linked in zip(later, links[step])]
+        for j in floors[step]:
+            narrowed[j] &= -(2 << v)
         if 0 not in narrowed:
             stack.append((step + 1, narrowed[0], narrowed[1:]))
+
+
+def find_induced_all(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+    """All induced embeddings of pattern in host, in deterministic order.
+
+    Each embedding is the tuple of host images of the pattern vertices, and
+    no host vertex is used twice.  Pattern vertices are placed
+    highest-degree-first (ties by index) and host candidates scanned in
+    increasing order, so the stream is plain backtracking's, sorted by
+    key(d), the images in placement order.
+
+    Forward checking (Ullmann, J. ACM 23, 1976) on an explicit stack: each
+    placement of v narrows every later pattern vertex's candidate mask to
+    v's neighbours or to its other non-neighbours, and is skipped if a mask
+    empties.  Masks start with the host vertices having at least as many
+    neighbours and non-neighbours as the pattern vertex, as a copy needs, so
+    only subtrees without a copy are cut.  A pattern larger than the host
+    empties every mask of that filter.
+
+    Symmetry breaking (Grochow and Kellis, RECOMB 2007) walks one copy per
+    class {d∘a : a in Aut}, Aut being the walk of the pattern in itself.
+    Placing order[s] floors, above its image, each other member of its orbit
+    under the automorphisms fixing order[:s]; all are placed later.  For
+    a != id and s the first step a moves, a(order[s]) is such a member, so
+    key(d) < key(d∘a); the class's least member meets every floor, as d∘a
+    agrees with it before s.  A survivor releases the pending copies with
+    lower keys from a heap, then pushes its class-mates.  Each copy follows
+    its class's least member, so one below the next survivor is pending.
+    """
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+    masks = _fits(host, pattern, order)
+    if 0 in masks:
+        return
+    links = [[pattern.has_edge(p, q) for q in order[i + 1 :]] for i, p in enumerate(order)]
+    group = list(_walk(pattern, order, links, _fits(pattern, pattern, order), [()] * len(order)))
+    floors, step_of, fixing = [], _inverse(order), group
+    for s, v in enumerate(order):
+        floors.append([step_of[u] - s - 1 for u in {a[v] for a in fixing} - {v}])
+        fixing = [a for a in fixing if a[v] == v]
+    key, pending = itemgetter(*order), []
+    mates = [(itemgetter(*(a[v] for v in order)), itemgetter(*a))
+             for a in group if a != tuple(range(pattern.n))]
+    for emb in _walk(host, order, links, masks, floors):
+        least = key(emb)
+        while pending and pending[0][0] < least:
+            yield heappop(pending)[1]
+        for mate_key, mate in mates:
+            heappush(pending, (mate_key(emb), mate(emb)))
+        yield emb
+    while pending:
+        yield heappop(pending)[1]
 
 
 def induced_copies(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:

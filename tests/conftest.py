@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 import networkx as nx
 
@@ -352,6 +353,52 @@ def induced_oracle(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
         if all(host.has_edge(images[u], images[v]) == pattern.has_edge(u, v) for u, v in pairs)
     ]
     return sorted(maps, key=lambda images: [images[p] for p in order])
+
+
+def induced_search_oracle(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+    """All induced embeddings of pattern in host, by plain backtracking.
+
+    The reference for `graph.find_induced_all`, which walks one copy per
+    class of pattern automorphisms and merges the rest back; both must give
+    the same stream.  Unlike `induced_oracle`, it reaches hosts of any size.
+
+    Each embedding is the tuple of host images of the pattern vertices, and
+    no host vertex is used twice.  Pattern vertices are placed
+    highest-degree-first (ties by index) and host candidates scanned in
+    increasing order, so the stream is reproducible.
+
+    Forward checking (Ullmann, J. ACM 23, 1976) on an explicit stack: each
+    placement of v narrows every later pattern vertex's candidate mask to
+    v's neighbours or to its other non-neighbours, and is skipped if a mask
+    empties.  Masks start with the host vertices having at least as many
+    neighbours and non-neighbours as the pattern vertex, as a copy needs, so
+    only subtrees without a copy are cut: the stream is plain backtracking's.
+    A pattern larger than the host empties every mask of that filter.
+    """
+    k, n = pattern.n, host.n
+    order = sorted(range(k), key=lambda v: (-pattern.degree(v), v))
+    degrees = [row.bit_count() for row in host.adj]
+    masks = [sum(1 << v for v in range(n) if d <= degrees[v] <= n - k + d)
+             for d in (pattern.degree(p) for p in order)]
+    if 0 in masks:
+        return
+    non = [((1 << n) - 1) ^ row ^ 1 << v for v, row in enumerate(host.adj)]
+    links = [[pattern.has_edge(p, q) for q in order[i + 1 :]] for i, p in enumerate(order)]
+    assign = [0] * k
+    stack = [(0, masks[0], masks[1:])]
+    while stack:
+        step, cand, later = stack.pop()
+        low = cand & -cand
+        if cand ^ low:
+            stack.append((step, cand ^ low, later))
+        v = assign[order[step]] = low.bit_length() - 1
+        if step + 1 == k:
+            yield tuple(assign)
+            continue
+        near, far = host.adj[v], non[v]
+        narrowed = [m & (near if linked else far) for m, linked in zip(later, links[step])]
+        if 0 not in narrowed:
+            stack.append((step + 1, narrowed[0], narrowed[1:]))
 
 
 def maximality_oracle(g: Graph) -> MaximalityResult:

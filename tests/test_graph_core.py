@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from conftest import (
     induced_oracle,
+    induced_search_oracle,
     petersen,
     random_graph,
     refine_oracle,
@@ -270,6 +271,51 @@ def test_deep_patterns_run_on_a_stack():
     assert induced_subgraph(host, emb) == path(1023)
     assert list(find_induced_all(path(1024), path(1024))) == [
         tuple(range(1024)), tuple(range(1023, -1, -1))]
+
+
+def test_symmetry_broken_search_keeps_the_plain_stream():
+    from trifree.search import _C6, _UPSILON
+
+    lemma_patterns = [families.cube(), families.graph_n(), families.mycielski_grotzsch()[0],
+                      _C6, _UPSILON]
+    copies = 0
+    for _, host in _templates():
+        for pattern in lemma_patterns:
+            stream = list(find_induced_all(host, pattern))
+            assert stream == list(induced_search_oracle(host, pattern))
+            copies += len(stream)
+    assert copies > 0
+    for n in range(2, 10):
+        for host in enumerate_maximal_tf(n):
+            assert list(find_induced_all(host, _C6)) == list(induced_search_oracle(host, _C6))
+    # patterns with large groups: edgeless, K_{1,3}, K_4, C_4, C_5, C_6 and the cube (48)
+    shapes = [from_edge_list(3, []), from_edge_list(4, []),
+              from_edge_list(4, [(0, 1), (0, 2), (0, 3)]), complete(4),
+              cycle(4), cycle(5), cycle(6), families.cube()]
+    rng = random.Random(37)
+    copies = 0
+    for _ in range(30):
+        host = random_graph(rng, rng.randint(10, 14), rng.choice((0.2, 0.5, 0.8)))
+        for pattern in shapes:
+            stream = list(find_induced_all(host, pattern))
+            assert stream == list(induced_search_oracle(host, pattern))
+            copies += len(stream)
+    assert copies > 10_000
+
+
+def test_the_group_walk_is_not_a_traced_search(monkeypatch):
+    from trifree.verify import run_check
+
+    calls = []
+    original = graph_module.find_induced_all
+
+    def counted(host, pattern):
+        calls.append(pattern.n)
+        return original(host, pattern)
+
+    monkeypatch.setattr(graph_module, "find_induced_all", counted)
+    assert run_check("cube_lemma").passed
+    assert calls == [8] * len(_templates()) == [8] * 18
 
 
 def test_find_induced_on_quotient_matches_direct_search():

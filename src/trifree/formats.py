@@ -3,15 +3,18 @@
 The native format is line-oriented: one ``p tf <n>`` header, ``e <u> <v>``
 lines with 0-based endpoints in any order, ``#`` starts a comment.  graph6
 packs the upper triangle column by column, six bits per printable byte
-(B. D. McKay's ``formats.txt``).  The codec works on ``'0'``/``'1'`` strings,
-a few string operations per vertex: the encoder reads column v off the low v
-bits of row v; the decoder lays the columns out as an n x n lower-triangular
-grid, column v zero-filled as row v, so row v is its grid row (neighbours
-u < v) or'ed with the stride-n slice ``grid[v::n]`` (neighbours u > v).
+(B. D. McKay's ``formats.txt``): base64 in another alphabet, so the codec
+runs `base64` and maps the alphabets with `str.translate`.  The encoder packs
+bit (u, v), u < v, at v(v-1)/2 + u of one int and bit-reverses its bytes.
+The decoder lays the columns out as an n x n lower-triangular grid, column v
+zero-filled as row v, and reverses it, so row v reads as its grid row
+(neighbours u < v) or'ed with the stride-n slice from n - 1 - v (u > v).
 """
 
 from __future__ import annotations
 
+import re
+from base64 import b64decode, b64encode
 from typing import Optional
 
 from .graph import ConstructionError, Graph, check_order, from_edge_list
@@ -21,9 +24,10 @@ class FormatError(ValueError):
     """Input text does not parse as a graph in the requested format."""
 
 
-# graph6 byte <-> its six bits, most significant first.
-_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
-_G6_CHAR = {format(i, "06b"): chr(63 + i) for i in range(64)}
+_B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = "".join(chr(63 + i) for i in range(64))
+_TO_G6, _FROM_G6 = str.maketrans(_B64, _G6), str.maketrans(_G6, _B64)
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def write_elist(g: Graph) -> str:
@@ -76,18 +80,18 @@ def parse_elist(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    n = g.n
+    n, size = g.n, g.n * (g.n - 1) // 2
     head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
-    bits = "".join(format(row & ~(-1 << v), f"0{v}b")[::-1] for v, row in enumerate(g.adj) if v)
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join([_G6_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+    packed = sum((row & ~(-1 << v)) << v * (v - 1) // 2 for v, row in enumerate(g.adj))
+    body = b64encode(packed.to_bytes(-(-size // 24) * 3, "little").translate(_REVERSED))
+    return head + body.decode()[:(size + 5) // 6].translate(_TO_G6)
 
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise FormatError("empty graph6 input")
-    if min(s) < "?" or max(s) > "~":
+    if not re.fullmatch("[?-~]*", s):
         raise FormatError("graph6 bytes must be in the range 63..126")
     if s[0] == chr(126):
         if len(s) < 4 or s[1] == chr(126):
@@ -104,11 +108,13 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body for order {n} needs {need} bytes, got {len(body)}")
-    bits = body.translate(_G6_BITS)
+    pad = -need % 4
+    bits = format(int.from_bytes(b64decode(body.translate(_FROM_G6) + "A" * pad), "big"),
+                  f"0{6 * (need + pad)}b")
     if "1" in bits[n * (n - 1) // 2:]:
         raise FormatError("graph6 padding bits must be zero")
-    grid = "".join(bits[v * (v - 1) // 2:v * (v + 1) // 2] + "0" * (n - v) for v in range(n))
-    return Graph(n, [int(grid[v * n:(v + 1) * n][::-1], 2) | int(grid[v::n][::-1], 2)
+    grid = "".join([bits[v * (v - 1) // 2:v * (v + 1) // 2] + "0" * (n - v) for v in range(n)])[::-1]
+    return Graph(n, [int(grid[(n - 1 - v) * n:(n - v) * n], 2) | int(grid[n - 1 - v::n], 2)
                      for v in range(n)])
 
 

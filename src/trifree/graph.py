@@ -174,15 +174,15 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """The induced subgraph on `vertices`, relabeled by position."""
+    """The induced subgraph on `vertices`, relabeled by position; only kept
+    neighbours are walked, so a quotient costs its own edges."""
     verts = list(vertices)
     index = {v: i for i, v in enumerate(verts)}
+    keep = _mask_of(verts)
     rows = [0] * len(verts)
     for i, v in enumerate(verts):
-        for u in _bits(g.adj[v]):
-            j = index.get(u)
-            if j is not None:
-                rows[i] |= 1 << j
+        for u in _bits(g.adj[v] & keep):
+            rows[i] |= 1 << index[u]
     return Graph(len(verts), rows)
 
 
@@ -424,23 +424,45 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 def isomorphic(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
-    """A vertex bijection carrying g onto h exactly, as its image list, or None.
+    """The lexicographically least bijection carrying g onto h, as its image
+    list, or None: a function of the two inputs alone.
 
-    Computed by comparing canonical forms, so the answer is deterministic;
-    the returned permutation is re-verified by `relabel`, which also checks
-    that it is a bijection, before returning.
+    Individualisation-refinement with `_refine` on the disjoint union, h's
+    vertex x numbered n + x.  An isomorphism f extends to an automorphism of
+    the union swapping v and n + f(v), so each cell of a refinement it obeys
+    is half g, half h; a child with another cell is cut.  A node pairs the
+    least g vertex u of a larger cell with that cell's h vertices in
+    increasing order (the child counts only into the pair, as in
+    `_canonical_search`); the g vertices below u sit in pairs, so the first
+    leaf, a discrete equitable partition of pairs, is the least isomorphism.
+    No leaf keys and no automorphism pruning: about n refinements of 2n
+    vertices, more where refinement cannot refute a branch (strongly regular
+    pairs).  `relabel` re-checks the leaf and that it is a bijection.
     """
-    if g.n != h.n or g.degree_sequence() != h.degree_sequence():
+    n = g.n
+    if n != h.n or g.degree_sequence() != h.degree_sequence():
         return None
-    cg, pg = canonical_form(g)
-    ch, ph = canonical_form(h)
-    if cg != ch:
-        return None
-    inv_h = _inverse(ph)
-    perm = tuple(inv_h[img] for img in pg)
-    if relabel(g, perm) != h:
-        raise InternalConsistencyError("canonical forms matched but permutation failed re-check")
-    return perm
+    rows = g.adj + tuple(row << n for row in h.adj)
+    stack = [([list(range(2 * n))], None)]
+    while stack:
+        cells, pair = stack.pop()
+        if pair is None:
+            cells = _refine(rows, cells)
+        else:
+            i, u, x = pair
+            rest = [v for v in cells[i] if v != u and v != x]
+            cells = _refine(rows, cells[:i] + [[u, x], rest] + cells[i + 1 :], [1 << u | 1 << x])
+        if any(2 * sum(v < n for v in cell) != len(cell) for cell in cells):
+            continue
+        u, i = min(((cell[0], i) for i, cell in enumerate(cells) if len(cell) > 2),
+                   default=(None, None))
+        if u is None:
+            perm = tuple(x - n for _, x in sorted(cells))
+            if relabel(g, perm) != h:
+                raise InternalConsistencyError("isomorphism leaf failed re-check")
+            return perm
+        stack += [(cells, (i, u, x)) for x in reversed(cells[i]) if x >= n]
+    return None
 
 
 def automorphism_generators(

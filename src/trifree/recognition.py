@@ -6,10 +6,12 @@ quotient, take the ids of the quotient's order from `families.templates`,
 and test isomorphism against each in turn.  The order alone picks the
 candidates, and at most one family can match: Andrásfai graphs are
 3-colourable, while every Vega graph contains the 4-chromatic 11-vertex
-graph, so no quotient is isomorphic to templates of both families.  When
-no candidate matches, a level-4 covering witness must exist; if it does
-not, the input would contradict the characterization, which is reported
-as its own first-class outcome rather than an error.
+graph, so no quotient is isomorphic to templates of both families.  The
+class map is the least isomorphism onto the template, a function of the
+input alone, which `certify` checks by one relabelling.  When no candidate
+matches, a level-4 covering witness must exist; if it does not, the input
+would contradict the characterization, which is reported as its own
+first-class outcome rather than an error.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import Optional, Union
 
 from .families import AndrasfaiId, VegaId, template, templates
 from .graph import (
-    BlowupSpec,
     Graph,
     TwinPartition,
-    blowup,
     isomorphic,
     quotient,
+    relabel,
 )
 from .properties import (
     _maximality,
@@ -118,10 +119,14 @@ def recognize(g: Graph) -> Union[RecognitionCertificate, Refutation]:
 
 
 def certify(g: Graph, certificate: RecognitionCertificate) -> bool:
-    """Independently re-validate a certificate using core primitives only."""
+    """Check a certificate as given, with no blow-up and no search: its class
+    map carries the twin quotient of g onto the template by one relabelling,
+    and each class's size is the weight of its image."""
     base = template(certificate.family)
-    weights = certificate.weights
-    if len(weights) != base.n or any(w < 1 for w in weights) or sum(weights) != g.n:
+    partition, omega = quotient(g)
+    class_map, weights = certificate.class_map, certificate.weights
+    if omega.n != base.n or len(weights) != base.n or sorted(class_map) != list(range(base.n)):
         return False
-    expanded = blowup(BlowupSpec(base, weights))
-    return isomorphic(g, expanded) is not None
+    if any(len(members) != weights[t] for members, t in zip(partition.classes, class_map)):
+        return False
+    return relabel(omega, class_map) == base

@@ -14,16 +14,22 @@ from typing import Iterator
 
 import networkx as nx
 
+from trifree.formats import FormatError
 from trifree.graph import (
+    ConstructionError,
     Graph,
+    InternalConsistencyError,
     TwinPropertyResult,
     _bits,
+    _inverse,
     _mask_of,
     canonical_form,
+    check_order,
     find_induced_all,
     from_edge_list,
     h_twins,
     quotient,
+    relabel,
 )
 from trifree.properties import (
     MaximalityResult,
@@ -514,7 +520,7 @@ def brute_force_maximal_tf(g: Graph) -> bool:
 def graph6_oracle_write(g: Graph) -> str:
     """graph6 of g, one pair at a time and six bits per byte.
 
-    The reference for `formats.write_graph6`, which works on bit strings.
+    The reference for `formats.write_graph6`, which encodes with base64.
     """
     if g.n <= 62:
         header = chr(g.n + 63)
@@ -531,7 +537,7 @@ def graph6_oracle_write(g: Graph) -> str:
 def graph6_oracle_rows(text: str) -> tuple[int, ...]:
     """Adjacency rows of well-formed graph6 text, one bit at a time.
 
-    The reference for `formats.parse_graph6`, which decodes by columns.
+    The reference for `formats.parse_graph6`, which decodes with base64.
     """
     s = text.strip()
     if s[0] == chr(126):
@@ -551,6 +557,81 @@ def graph6_oracle_rows(text: str) -> tuple[int, ...]:
                 rows[v] |= 1 << u
             index += 1
     return tuple(rows)
+
+
+def canonical_isomorphic(g: Graph, h: Graph):
+    """A vertex bijection carrying g onto h exactly, as its image list, or None.
+
+    The reference for `graph.isomorphic`, which returns the least such
+    bijection without canonical labelling; both must agree on existence.
+    Computed by comparing canonical forms, so the answer is deterministic;
+    the returned permutation is re-verified by `relabel`, which also checks
+    that it is a bijection, before returning.
+    """
+    if g.n != h.n or g.degree_sequence() != h.degree_sequence():
+        return None
+    cg, pg = canonical_form(g)
+    ch, ph = canonical_form(h)
+    if cg != ch:
+        return None
+    inv_h = _inverse(ph)
+    perm = tuple(inv_h[img] for img in pg)
+    if relabel(g, perm) != h:
+        raise InternalConsistencyError("canonical forms matched but permutation failed re-check")
+    return perm
+
+
+# graph6 byte <-> its six bits, most significant first.
+_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_G6_CHAR = {format(i, "06b"): chr(63 + i) for i in range(64)}
+
+
+def graph6_string_write(g: Graph) -> str:
+    """graph6 of g on '0'/'1' strings: column v read off the low v bits of row v.
+
+    The reference for `formats.write_graph6`, which packs one int and
+    encodes it with base64.
+    """
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
+    bits = "".join(format(row & ~(-1 << v), f"0{v}b")[::-1] for v, row in enumerate(g.adj) if v)
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_G6_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+
+
+def graph6_string_parse(text: str) -> Graph:
+    """graph6 decoded on '0'/'1' strings, with the same checks and messages.
+
+    The reference for `formats.parse_graph6`, which decodes with base64.
+    Columns are laid out as an n x n lower-triangular grid, column v
+    zero-filled as row v, so row v is its grid row or'ed with ``grid[v::n]``.
+    """
+    s = text.strip()
+    if not s:
+        raise FormatError("empty graph6 input")
+    if min(s) < "?" or max(s) > "~":
+        raise FormatError("graph6 bytes must be in the range 63..126")
+    if s[0] == chr(126):
+        if len(s) < 4 or s[1] == chr(126):
+            raise FormatError("unsupported graph6 size form")
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        body = s[1:]
+    try:
+        check_order(n)
+    except ConstructionError as exc:
+        raise FormatError(str(exc)) from None
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise FormatError(f"graph6 body for order {n} needs {need} bytes, got {len(body)}")
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[n * (n - 1) // 2:]:
+        raise FormatError("graph6 padding bits must be zero")
+    grid = "".join(bits[v * (v - 1) // 2:v * (v + 1) // 2] + "0" * (n - v) for v in range(n))
+    return Graph(n, [int(grid[v * n:(v + 1) * n][::-1], 2) | int(grid[v::n][::-1], 2)
+                     for v in range(n)])
 
 
 def petersen() -> Graph:

@@ -12,7 +12,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import graph6_oracle_rows, graph6_oracle_write, random_graph
+from conftest import (
+    graph6_oracle_rows,
+    graph6_oracle_write,
+    graph6_string_parse,
+    graph6_string_write,
+    random_graph,
+)
 
 from trifree import __version__
 from trifree.cli import EXIT_INTERNAL, build_parser, main
@@ -61,7 +67,7 @@ def test_graph6_codec_matches_the_per_pair_reference(n):
         assert parse_graph6(f"  {text}\n").adj == g.adj
 
 
-@pytest.mark.parametrize("text, message", [
+_MALFORMED_GRAPH6 = [
     ("?", "order must be in 1..1024, got 0"),
     ("~", "unsupported graph6 size form"),
     ("~??", "unsupported graph6 size form"),
@@ -72,11 +78,38 @@ def test_graph6_codec_matches_the_per_pair_reference(n):
     ("B\u00e9", "graph6 bytes must be in the range 63..126"),
     ("A_ A_", "graph6 bytes must be in the range 63..126"),
     ("A~", "graph6 padding bits must be zero"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED_GRAPH6)
 def test_graph6_error_messages(text, message):
     with pytest.raises(FormatError) as caught:
         parse_graph6(text)
     assert str(caught.value) == message
+
+
+def _graph6_outcome(parse, text):
+    try:
+        return parse(text).adj
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_base64_graph6_codec_matches_the_string_codec():
+    rng = random.Random(35)
+    graphs = [random_graph(rng, n, p) for n in range(1, 71) for p in (0.0, 0.5, 1.0)]
+    graphs += [random_graph(rng, rng.randint(1, 300), rng.random()) for _ in range(40)]
+    for g in graphs:
+        text = write_graph6(g)
+        assert text == graph6_string_write(g)
+        assert parse_graph6(text) == graph6_string_parse(text) == g
+    n = 1025
+    too_large = "~" + "".join(chr((n >> shift & 0x3F) + 63) for shift in (12, 6, 0))
+    malformed = [text for text, _ in _MALFORMED_GRAPH6] + ["", " \n", too_large + "?" * 87296]
+    malformed += ["A_\x7f", "A" + chr(62), "B~~", "~?A_" + "~" * 1000]
+    for text in malformed:
+        ours = _graph6_outcome(parse_graph6, text)
+        assert isinstance(ours, str) and ours == _graph6_outcome(graph6_string_parse, text)
 
 
 def test_elist_rejects_malformed_input():

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 from conftest import (
+    canonical_isomorphic,
     induced_oracle,
     induced_search_oracle,
     petersen,
@@ -147,10 +149,10 @@ def test_isomorphic_equivalence_and_canonical_form():
 def test_isomorphic_permutation_failing_its_recheck_is_internal(monkeypatch):
     import trifree.graph as graph_module
 
-    # C6 and two triangles share a degree sequence; give both one canonical
-    # form and identity permutations, so the identity fails the re-check
+    # C6 and two triangles share a degree sequence; a refinement that never
+    # splits a cell walks straight to the identity leaf, which fails the re-check
     g, h = cycle(6), from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    monkeypatch.setattr(graph_module, "canonical_form", lambda x: (cycle(6), tuple(range(6))))
+    monkeypatch.setattr(graph_module, "_refine", lambda rows, cells, fresh=None: cells)
     with pytest.raises(InternalConsistencyError, match="failed re-check"):
         isomorphic(g, h)
 
@@ -181,6 +183,73 @@ def test_isomorphism_agrees_with_networkx():
         ours = isomorphic(g, h) is not None
         theirs = nx.is_isomorphic(to_nx(g), to_nx(h))
         assert ours == theirs
+
+
+def _degree_preserving_swap(rng, g):
+    """g with one pair of edges ab, cd swapped to ad, cb where both are new;
+    the degree sequence is kept, the isomorphism type often is not."""
+    edges = list(g.edges())
+    for _ in range(20):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return from_edge_list(g.n, kept + [(a, d), (c, b)])
+    return g
+
+
+def test_isomorphic_is_the_least_isomorphism():
+    rng = random.Random(35)
+    pairs = []
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        pairs.append((g, relabel(g, shuffled)))
+        if g.edge_count > 1:
+            pairs.append((g, relabel(_degree_preserving_swap(rng, g), shuffled)))
+    refuted = 0
+    for g, h in pairs:
+        least = next((perm for perm in itertools.permutations(range(g.n))
+                      if relabel(g, perm) == h), None)
+        assert isomorphic(g, h) == least
+        assert (least is None) == (canonical_isomorphic(g, h) is None)
+        refuted += least is None and g.degree_sequence() == h.degree_sequence()
+    assert refuted > 30
+
+
+def test_isomorphic_agrees_with_canonical_forms_on_the_census():
+    rng = random.Random(36)
+    for n in range(2, 11):
+        members = list(enumerate_maximal_tf(n))
+        for g in members:
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for h in members + [relabel(g, shuffled)]:
+                assert (isomorphic(g, h) is None) == (canonical_isomorphic(g, h) is None)
+
+
+def test_isomorphic_on_a_large_perfect_matching():
+    g = from_edge_list(400, [(2 * i, 2 * i + 1) for i in range(200)])
+    shuffled = list(range(g.n))
+    random.Random(37).shuffle(shuffled)
+    h = relabel(g, shuffled)
+    start = time.perf_counter()
+    perm = isomorphic(g, h)
+    assert time.perf_counter() - start < 2
+    assert perm is not None and relabel(g, perm) == h
+
+
+def test_rook_graph_is_not_the_shrikhande_graph():
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    rook = from_edge_list(16, [(4 * i + j, 4 * k + l) for (i, j), (k, l)
+                               in itertools.combinations(cells, 2) if i == k or j == l])
+    shrikhande = from_edge_list(16, [(4 * i + j, 4 * k + l) for (i, j), (k, l)
+                                     in itertools.combinations(cells, 2)
+                                     if ((k - i) % 4, (l - j) % 4) in steps])
+    assert rook.degree_sequence() == shrikhande.degree_sequence() == (6,) * 16
+    assert isomorphic(rook, shrikhande) is None
+    assert not nx.is_isomorphic(to_nx(rook), to_nx(shrikhande))
 
 
 def _random_cells(rng, n):

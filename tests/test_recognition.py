@@ -7,8 +7,26 @@ import random
 import pytest
 from conftest import petersen
 
-from trifree.families import AndrasfaiId, VegaId, andrasfai, haggkvist_spec, vega
-from trifree.graph import BlowupSpec, blowup, from_edge_list
+from trifree.families import (
+    AndrasfaiId,
+    VegaId,
+    andrasfai,
+    haggkvist_spec,
+    template,
+    templates,
+    vega,
+)
+from trifree.graph import (
+    BlowupSpec,
+    _closure,
+    _inverse,
+    automorphism_generators,
+    blowup,
+    canonical_labeling,
+    from_edge_list,
+    isomorphic,
+    relabel,
+)
 from trifree.properties import check_d, validate_d_witness
 from trifree.recognition import (
     D4_FAILS,
@@ -135,15 +153,43 @@ def test_recognize_rejects_trivial_orders():
         recognize(from_edge_list(1, []))
 
 
+def test_class_map_is_the_least_isomorphism_onto_the_template():
+    rng = random.Random(35)
+    for ident in templates(20):
+        base = template(ident)
+        for _ in range(3):
+            shuffled = list(range(base.n))
+            rng.shuffle(shuffled)
+            g = relabel(base, shuffled)
+            outcome = recognize(g)
+            target = template(outcome.family)
+            # phi carries g onto target; every isomorphism is a o phi, a in Aut(target)
+            phi = [isomorphic(base, target)[v] for v in _inverse(shuffled)]
+            p, _, autos, _ = canonical_labeling(target)
+            gens = automorphism_generators(p, autos)
+            group = _closure([tuple(range(base.n))],
+                             lambda a: [tuple(gen[x] for x in a) for gen in gens])
+            assert outcome.class_map == min(tuple(a[x] for x in phi) for a in group)
+            assert certify(g, outcome)
+
+
 def test_certify_rejects_tampered_certificates():
     base = andrasfai(2)
     big = blowup(BlowupSpec(base, (2, 1, 1, 1, 1)))
     outcome = recognize(big)
     assert certify(big, outcome)
-    # rotated weights still certify: the rebuilt blow-up stays isomorphic
+    # the class map is checked as given: rotated weights need the rotated map
+    assert outcome.class_map == (0, 1, 2, 3, 4)
     rotated = RecognitionCertificate(
         outcome.family, outcome.class_map, (1, 2, 1, 1, 1))
-    assert certify(big, rotated)
+    assert not certify(big, rotated)
+    rotated_map = RecognitionCertificate(
+        outcome.family, (1, 2, 3, 4, 0), (1, 2, 1, 1, 1))
+    assert certify(big, rotated_map)
+    swapped = RecognitionCertificate(outcome.family, (1, 0, 2, 3, 4), outcome.weights)
+    assert not certify(big, swapped)
+    not_bijective = RecognitionCertificate(outcome.family, (0, 1, 2, 3, 3), outcome.weights)
+    assert not certify(big, not_bijective)
     wrong_total = RecognitionCertificate(
         outcome.family, outcome.class_map, (3, 1, 1, 1, 1))
     assert not certify(big, wrong_total)

@@ -383,10 +383,10 @@ def test_census_row_takes_no_quotient_beyond_recognition(monkeypatch):
     for g in blowups:
         calls = 0
         recognition_module.recognize(g)
-        assert calls == 3
+        assert calls == 1
         calls = 0
         census_row(g)
-        assert calls == 3
+        assert calls == 1
     # fig41 fails level 2; recognition would run the covering search again
     calls = searches = 0
     row = census_row(fig41())
